@@ -403,7 +403,7 @@ let detector_flush ~n ~k =
     Psn_sim.Delay_model.bounded_uniform ~min:(Sim_time.of_ms 2)
       ~max:(Sim_time.of_ms 5)
   in
-  let arena = Psn_detection.Detector_arena.create () in
+  let arena = Psn_detection.Uplink.Arena.create () in
   let groups = n / 25 in
   let cfg =
     {
@@ -584,7 +584,7 @@ let detector_stream_flush =
     | first :: rest -> List.fold_left ( &&& ) first rest
     | [] -> assert false
   in
-  let arena = Psn_detection.Detector_arena.create () in
+  let arena = Psn_detection.Uplink.Arena.create () in
   Test.make ~name:(Printf.sprintf "detector.stream.flush(n=%d)" n)
     (Staged.stage @@ fun () ->
       let exec = Psn_sim.Exec.single () in

@@ -986,6 +986,7 @@ let detect_cmd =
                  ("cap", Int cap);
                  ("events", Int r.Sharded_sc.sr_observed);
                  ("updates", Int r.Sharded_sc.sr_updates);
+                 ("unfed", Int r.Sharded_sc.sr_unfed);
                  ("possibly", opt_bool poss);
                  ("definitely", opt_bool defi);
                  ("committed_cuts", Int committed_n);
@@ -1026,8 +1027,9 @@ let detect_cmd =
           Fmt.pr "mode             : %s@." mode;
           Fmt.pr "monitors         : %d  shards: %d  window: %d ms@." monitors
             shards window_ms;
-          Fmt.pr "events observed  : %d  (updates emitted %d)@."
-            r.Sharded_sc.sr_observed r.Sharded_sc.sr_updates;
+          Fmt.pr "events observed  : %d  (updates emitted %d, unfed %d)@."
+            r.Sharded_sc.sr_observed r.Sharded_sc.sr_updates
+            r.Sharded_sc.sr_unfed;
           Fmt.pr "possibly         : %a@." pp_verdict poss;
           Fmt.pr "definitely       : %a@." pp_verdict defi;
           Fmt.pr "committed cuts   : %s%d@."

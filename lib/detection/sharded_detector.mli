@@ -1,18 +1,13 @@
 (** Hold-back consensus checker over an {!Psn_sim.Exec} substrate.
 
-    The sharded counterpart of the physical-clock linearizer: [n] sensor
-    processes (pids [0 .. n-1]) stamp their local-variable updates with
-    synced physical clocks and unicast them over a {!Psn_network.Shard_net}
-    to a checker process (pid [n], always group 0 / shard 0).  The
-    checker buffers arrivals and, on a fixed periodic flush schedule,
-    applies every update held back for at least [hold], in
-    (stamp, src, seq) order — a total order computed from
-    substrate-invariant keys, so the applied sequence (and with it every
-    occurrence) is identical on the single-queue oracle and on any shard
-    count, whatever equal-time arrival interleaving the window barrier
-    produced.  An occurrence is [Borderline] when its trigger's stamp is
-    within [2 * eps] of an adjacent applied update from another process
-    (the paper's race bin), [Positive] otherwise.
+    The sharded counterpart of the physical-clock linearizer.  Updates
+    travel the {!Uplink}, whose flush hands over every update held back
+    for at least [hold] in the substrate-invariant (stamp, src, seq)
+    order, so the applied sequence (and with it every occurrence) is
+    identical on the single-queue oracle and on any shard count.  An
+    occurrence is [Borderline] when its trigger's stamp is within
+    [2 * eps] of an adjacent applied update from another process (the
+    paper's race bin), [Positive] otherwise.
 
     Per-shard stamp planes: with [causal_stamps] on, every source
     additionally runs a vector clock whose stamps bump-allocate in its
@@ -61,16 +56,14 @@ val create :
   ?loss:Psn_sim.Loss_model.t ->
   ?sinks:Psn_obs.Trace.sink array ->
   ?checker:checker ->
-  ?arena:Detector_arena.t ->
+  ?arena:Uplink.Arena.t ->
   Psn_sim.Exec.t -> cfg:cfg -> delay:Psn_sim.Delay_model.t ->
   predicate:Psn_predicates.Expr.t -> unit -> t
-(** Builds the transport (label ["detector"]), the per-pid clocks
-    (streams derived from [(Exec.seed, pid)]), the per-group planes, and
-    the checker's flush schedule on group 0's engine.  [sinks] (one per
-    group) additionally trace updates, occurrences, and the transport's
-    send/deliver/drop records.  [checker] defaults to [Auto].  [arena]
-    reuses the O(n) construction arrays across repeated same-key builds
-    ({!Detector_arena}); construction is wrapped in a
+(** Builds the uplink (transport label ["detector"]), the per-group
+    planes, and the backend.  [sinks] (one per group) additionally trace
+    updates, occurrences, and the transport's send/deliver/drop records.
+    [checker] defaults to [Auto].  [arena] reuses the uplink's O(n)
+    construction arrays ({!Uplink.Arena}); construction is wrapped in a
     [Profile.phase "detector.setup"] either way. *)
 
 val checker_kind : t -> checker
@@ -79,15 +72,13 @@ val checker_kind : t -> checker
 
 val emit : t -> src:int -> var:string -> value:int -> unit
 (** Called from a sense event executing on [src]'s group engine: stamps
-    the update and sends it to the checker.  Each source may use at most
-    four distinct variable names (the name index rides in the payload's
-    low bits rather than a string on the wire); a fifth raises. *)
+    the update and sends it up the {!Uplink}.  Raises as
+    {!Uplink.intern} does (out-of-range [src], a fifth variable name). *)
 
 val net : t -> Psn_network.Shard_net.t
 
 val updates : t -> Observation.update list
-(** Every update emitted, merged across groups in (sense_time, src, seq)
-    order — the ground-truth stream. *)
+(** {!Uplink.updates}: every update emitted, the ground-truth stream. *)
 
 val occurrences : t -> Occurrence.t list
 

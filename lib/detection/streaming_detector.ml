@@ -2,19 +2,18 @@
    sources, hold-back reordering at the checker, and a streaming
    frontier walk ([Psn_lattice.Streaming]) instead of a post-hoc lattice
    enumeration.  See the .mli for the determinism and liveness
-   arguments.
+   arguments.  The sensor -> checker leg (clocks, wire packing, ground
+   truth, hold-back intake, flush schedule) is [Uplink]'s.
 
-   Cross-shard discipline, for every mutable piece:
+   Cross-shard discipline, beyond [Uplink]'s:
 
      - per-group stamp planes are written only by their group's sources
        (strobe ticks run on the source's shard); a strobe *receiver* on
        another shard reads the foreign plane stamp only at delivery,
        which the window barrier orders after the write (growth blits,
        so stale backing references still see pre-barrier stamps);
-     - the checker's pending arena, reorder rings, value histories, and
-       the walk itself are written only by checker events (shard 0);
-     - the checker reads source-side var-name tables only for updates
-       that were emitted, hence after a barrier.
+     - the reorder rings, value histories, and the walk itself are
+       written only by checker events (shard 0).
 
    Per-source sequence order: the arena's (stamp, src, seq) batch order
    is per-source monotone *within* a flush (synced clocks are pure and
@@ -38,7 +37,6 @@ module Trace = Psn_obs.Trace
 module Metrics = Psn_obs.Metrics
 module Expr = Psn_predicates.Expr
 module Value = Psn_world.Value
-module Physical_clock = Psn_clocks.Physical_clock
 module Strobe_vector = Psn_clocks.Strobe_vector
 module Stamp_plane = Psn_clocks.Stamp_plane
 module Shard_net = Psn_network.Shard_net
@@ -60,14 +58,6 @@ type edge = {
   trigger : Observation.update option;
 }
 
-(* Same wire encoding as [Sharded_detector]: the variable-name index
-   rides in the low bits of the seq lane. *)
-let max_vars = 4
-let var_bits = 2
-
-let mix_seed seed pid =
-  Int64.add seed (Int64.mul (Int64.of_int (pid + 1)) 0xC2B2AE3D27D4EB4FL)
-
 (* Reorder-ring lanes, stride 5, indexed [seq mod cap]:
    0 = strobe-stamp handle (written at delivery; -1 empty),
    1 = value, 2 = var_idx, 3 = sense, 4 = ready flag
@@ -79,15 +69,11 @@ let vh_initial = 8
 type t = {
   cfg : cfg;
   exec : Exec.t;
-  net : Shard_net.t;
-  clocks : Physical_clock.t array;
+  up : Uplink.t;
   svclocks : Strobe_vector.t array;
   planes : Stamp_plane.t array;         (* per group, width n *)
-  vars : string array array;            (* pid -> var slots, set at first emit *)
-  seqs : int array;                     (* per-source update sequence *)
-  by_group : Observation.update list ref array;
   sinks : Trace.sink array option;
-  pend : Pending_arena.t;               (* checker-local *)
+  pend : Pending_arena.t;               (* = Uplink.pending up *)
   stream : Streaming.t;
   scratch : int array;                  (* stamp decode buffer, width n *)
   (* Per-source reorder rings (checker-local). *)
@@ -105,15 +91,13 @@ type t = {
   cur_trigger : Observation.update option ref;
   edges : edge list ref;                (* newest first *)
   on_observe : (pid:int -> stamp:int array -> unit) option;
-  c_updates : Metrics.counter array;    (* per group *)
   mutable finished : bool;
+  mutable unfed : int;                  (* set by [finish] *)
 }
-
-let checker_pid t = t.cfg.n
 
 (* -- value-history rings ------------------------------------------- *)
 
-let vh_entry cap k = (k mod cap) * max_vars
+let vh_entry cap k = (k mod cap) * Uplink.max_vars
 
 (* Append entry [seq + 1] = entry [seq] with [var_idx := value].  The
    live window at any future [holds] call is within
@@ -127,17 +111,17 @@ let vh_write t ~src ~seq ~var_idx ~value =
     while !cap < need do
       cap := !cap * 2
     done;
-    let nb = Array.make (!cap * max_vars) min_int in
+    let nb = Array.make (!cap * Uplink.max_vars) min_int in
     let ob = t.vh_buf.(src) and ocap = t.vh_cap.(src) in
     for k = base to seq do
-      Array.blit ob (vh_entry ocap k) nb (vh_entry !cap k) max_vars
+      Array.blit ob (vh_entry ocap k) nb (vh_entry !cap k) Uplink.max_vars
     done;
     t.vh_buf.(src) <- nb;
     t.vh_cap.(src) <- !cap
   end;
   let b = t.vh_buf.(src) and cap = t.vh_cap.(src) in
   let from = vh_entry cap seq and into = vh_entry cap (seq + 1) in
-  Array.blit b from b into max_vars;
+  Array.blit b from b into Uplink.max_vars;
   b.(into + var_idx) <- value
 
 (* -- reorder rings -------------------------------------------------- *)
@@ -145,6 +129,13 @@ let vh_write t ~src ~seq ~var_idx ~value =
 let rr_clear_slot buf off =
   buf.(off) <- -1;
   buf.(off + 4) <- 0
+
+let rr_make cap =
+  let b = Array.make (cap * rr_stride) 0 in
+  for i = 0 to cap - 1 do
+    rr_clear_slot b (i * rr_stride)
+  done;
+  b
 
 (* Make room so every live seq in [rr_next .. max seq] maps to its own
    slot; grow re-places the live span. *)
@@ -154,10 +145,7 @@ let rr_ensure t ~src ~seq =
     while seq - t.rr_next.(src) >= !cap do
       cap := !cap * 2
     done;
-    let nb = Array.make (!cap * rr_stride) 0 in
-    for i = 0 to !cap - 1 do
-      rr_clear_slot nb (i * rr_stride)
-    done;
+    let nb = rr_make !cap in
     let ob = t.rr_buf.(src) and ocap = t.rr_cap.(src) in
     for k = t.rr_next.(src) to t.rr_max.(src) do
       Array.blit ob (k mod ocap * rr_stride) nb (k mod !cap * rr_stride)
@@ -173,15 +161,7 @@ let feed t ~now ~src ~seq ~vh ~value ~var_idx ~sense =
   vh_write t ~src ~seq ~var_idx ~value;
   t.cur_now := now;
   t.cur_sense := sense;
-  t.cur_trigger :=
-    Some
-      {
-        Observation.src;
-        var = t.vars.(src).(var_idx);
-        value = Value.Int value;
-        seq;
-        sense_time = Sim_time.of_ns sense;
-      };
+  t.cur_trigger := Some (Uplink.update t.up ~src ~var_idx ~value ~seq ~sense);
   Stamp_plane.blit_to t.planes.(t.cfg.group_of src) vh t.scratch;
   (match t.on_observe with
   | Some f -> f ~pid:src ~stamp:t.scratch
@@ -205,20 +185,32 @@ let rec drain t ~now ~src =
     end
   end
 
+(* The per-flush [Lattice_commit] milestone. *)
+let trace_commit t ~now =
+  match t.sinks with
+  | Some s ->
+      let committed =
+        match Streaming.committed_cuts t.stream with
+        | Psn_lattice.Packed.Exact c | Psn_lattice.Packed.At_least c -> c
+      in
+      Trace.emit s.(0) ~time:now ~pid:t.cfg.n
+        (Trace.Lattice_commit
+           {
+             level = Streaming.committed_level t.stream;
+             live = Streaming.live_cuts t.stream;
+             committed;
+           })
+  | None -> ()
+
 (* Apply one ready batch from the pending arena: mark each entry's ring
    slot ready in (stamp, src, seq) order, draining its source's ring as
    it goes.  Both orders are substrate-invariant. *)
 let apply_batch t ~now m =
-  let now_ns = Sim_time.to_ns now in
   for i = 0 to m - 1 do
     let src = Pending_arena.src t.pend i in
     let seq = Pending_arena.seq t.pend i in
     let var_idx = Pending_arena.var_idx t.pend i in
-    (match t.sinks with
-    | Some s ->
-        Trace.emit s.(0) ~time:now ~pid:(checker_pid t)
-          (Trace.Detector_update { var = t.vars.(src).(var_idx); seq })
-    | None -> ());
+    Uplink.trace_applied t.up ~now i;
     let buf = t.rr_buf.(src) in
     let off = seq mod t.rr_cap.(src) * rr_stride in
     buf.(off + 1) <- Pending_arena.value t.pend i;
@@ -227,65 +219,20 @@ let apply_batch t ~now m =
     buf.(off + 4) <- 1;
     drain t ~now ~src
   done;
-  if m > 0 then begin
-    let committed =
-      match Streaming.committed_cuts t.stream with
-      | Psn_lattice.Packed.Exact c | Psn_lattice.Packed.At_least c -> c
-    in
-    match t.sinks with
-    | Some s ->
-        Trace.emit s.(0) ~time:now ~pid:(checker_pid t)
-          (Trace.Lattice_commit
-             {
-               level = Streaming.committed_level t.stream;
-               live = Streaming.live_cuts t.stream;
-               committed;
-             })
-    | None -> ()
-  end;
-  now_ns
+  if m > 0 then trace_commit t ~now
 
 let create ?loss ?sinks ?arena ?on_observe exec ~cfg ~delay ~predicate () =
   Psn_obs.Profile.phase "detector.setup" @@ fun () ->
-  if cfg.n <= 0 then invalid_arg "Streaming_detector.create: n must be positive";
-  if cfg.groups <= 0 then
-    invalid_arg "Streaming_detector.create: groups must be positive";
-  if Sim_time.(cfg.flush_period <= Sim_time.zero) then
-    invalid_arg "Streaming_detector.create: flush_period must be positive";
+  let up =
+    Uplink.create ~who:"Streaming_detector" ?loss ?sinks ?arena exec
+      ~label:"stream_detector" ~counter:"stream_detector.updates" ~n:cfg.n
+      ~groups:cfg.groups ~group_of:cfg.group_of ~eps:cfg.eps ~hold:cfg.hold
+      ~flush_period:cfg.flush_period ~delay
+  in
   let n = cfg.n in
-  let seed = Exec.seed exec in
-  let group_of pid = if pid = n then 0 else cfg.group_of pid in
-  let net =
-    Shard_net.create ?loss ~label:"stream_detector" ?sinks exec ~n:(n + 1)
-      ~groups:cfg.groups ~group_of ~delay ()
-  in
-  let clocks =
-    match arena with
-    | Some a -> Detector_arena.clocks a ~seed ~eps:cfg.eps ~n
-    | None ->
-        Array.init n (fun pid ->
-            Physical_clock.synced_within
-              (Psn_util.Rng.create ~seed:(mix_seed seed pid) ())
-              ~eps:cfg.eps)
-  in
+  let net = Uplink.net up in
   let planes = Array.init cfg.groups (fun _ -> Stamp_plane.create ~n ()) in
   let svclocks = Array.init n (fun pid -> Strobe_vector.create ~n ~me:pid) in
-  let vars =
-    match arena with
-    | Some a -> Detector_arena.vars a ~n ~max_vars
-    | None -> Array.init n (fun _ -> Array.make max_vars "")
-  in
-  let seqs =
-    match arena with
-    | Some a -> Detector_arena.seqs a ~n
-    | None -> Array.make n 0
-  in
-  let c_updates =
-    Array.init cfg.groups (fun g ->
-        Metrics.counter
-          (Engine.metrics (Exec.engine exec ~group:g))
-          "stream_detector.updates")
-  in
   let c_edges =
     Metrics.counter
       (Engine.metrics (Exec.engine exec ~group:0))
@@ -293,26 +240,20 @@ let create ?loss ?sinks ?arena ?on_observe exec ~cfg ~delay ~predicate () =
   in
   (* The walk's closures are built over these cells; [t] closes the
      knot afterwards. *)
-  let vh_buf = Array.init n (fun _ -> Array.make (vh_initial * max_vars) min_int)
+  let vh_buf =
+    Array.init n (fun _ -> Array.make (vh_initial * Uplink.max_vars) min_int)
   and vh_cap = Array.make n vh_initial in
   let cur_cut = ref [||] in
   let cur_now = ref Sim_time.zero
   and cur_sense = ref 0
   and cur_trigger = ref None
   and edges = ref [] in
-  let sinks_opt = sinks in
   (* One lookup closure per detector (not per cut): located variable ->
      value-history entry at the cut's per-process count. *)
   let env_fn (v : Expr.var) =
     if v.Expr.loc < 0 || v.Expr.loc >= n then None
     else begin
-      let names = vars.(v.Expr.loc) in
-      let rec idx i =
-        if i >= max_vars then -1
-        else if String.equal names.(i) v.Expr.name then i
-        else idx (i + 1)
-      in
-      let vi = idx 0 in
+      let vi = Uplink.find_var up ~src:v.Expr.loc ~name:v.Expr.name in
       if vi < 0 then None
       else begin
         let k = !cur_cut.(v.Expr.loc) in
@@ -331,43 +272,27 @@ let create ?loss ?sinks ?arena ?on_observe exec ~cfg ~delay ~predicate () =
   let on_edge e =
     Metrics.tick c_edges;
     edges := { edge = e; at = !cur_now; trigger = !cur_trigger } :: !edges;
-    match sinks_opt with
-    | Some s ->
-        let verdict =
-          match e with
-          | Streaming.Possibly_holds _ -> "possibly"
-          | Streaming.Definitely_holds _ -> "definitely"
-          | Streaming.Possibly_fails -> "possibly_fails"
-          | Streaming.Definitely_fails -> "definitely_fails"
-        in
-        Trace.emit s.(0) ~time:!cur_now ~pid:n
-          (Trace.Detector_occurrence
-             { verdict; window_ns = Sim_time.to_ns !cur_now - !cur_sense })
-    | None -> ()
+    Uplink.trace_occurrence up ~now:!cur_now ~sense:!cur_sense
+      ~verdict:
+        (match e with
+        | Streaming.Possibly_holds _ -> "possibly"
+        | Streaming.Definitely_holds _ -> "definitely"
+        | Streaming.Possibly_fails -> "possibly_fails"
+        | Streaming.Definitely_fails -> "definitely_fails")
   in
   let stream = Streaming.create ~n ~cap:cfg.cap ~on_edge ~holds () in
   let t =
     {
       cfg;
       exec;
-      net;
-      clocks;
+      up;
       svclocks;
       planes;
-      vars;
-      seqs;
-      by_group = Array.init cfg.groups (fun _ -> ref []);
       sinks;
-      pend = Pending_arena.create ();
+      pend = Uplink.pending up;
       stream;
       scratch = Array.make n 0;
-      rr_buf =
-        Array.init n (fun _ ->
-            let b = Array.make (rr_initial * rr_stride) 0 in
-            for i = 0 to rr_initial - 1 do
-              rr_clear_slot b (i * rr_stride)
-            done;
-            b);
+      rr_buf = Array.init n (fun _ -> rr_make rr_initial);
       rr_cap = Array.make n rr_initial;
       rr_next = Array.make n 0;
       rr_max = Array.make n (-1);
@@ -378,21 +303,18 @@ let create ?loss ?sinks ?arena ?on_observe exec ~cfg ~delay ~predicate () =
       cur_trigger;
       edges;
       on_observe;
-      c_updates;
       finished = false;
+      unfed = 0;
     }
   in
   (* Checker delivery: park the strobe handle at its sequence slot and
      buffer the lanes with the arrival time; applied at flush. *)
   Shard_net.set_handler net n (fun ~src ~a ~b ~c ~d ~e ->
-      let value = a and sense_time = b and stamp = c and vh = e in
-      let seq = d asr var_bits and var_idx = d land (max_vars - 1) in
+      let seq = Uplink.wire_seq d in
       rr_ensure t ~src ~seq;
-      t.rr_buf.(src).(seq mod t.rr_cap.(src) * rr_stride) <- vh;
+      t.rr_buf.(src).(seq mod t.rr_cap.(src) * rr_stride) <- e;
       if seq > t.rr_max.(src) then t.rr_max.(src) <- seq;
-      let recv = Engine.now (Exec.engine exec ~group:0) in
-      Pending_arena.add t.pend ~recv:(Sim_time.to_ns recv) ~stamp ~src ~seq
-        ~var_idx ~value ~sense:sense_time);
+      Uplink.deliver up ~src ~a ~b ~c ~d);
   (* Source delivery: a strobe from another source — SVC2 merge, no
      tick, reading the sender group's plane after the barrier. *)
   for pid = 0 to n - 1 do
@@ -401,63 +323,29 @@ let create ?loss ?sinks ?arena ?on_observe exec ~cfg ~delay ~predicate () =
           t.planes.(cfg.group_of src)
           t.svclocks.(pid) a)
   done;
-  (* Fixed flush schedule on the checker's engine, as in
-     [Sharded_detector]: apply everything received at or before
-     [now - hold]. *)
-  let hold_ns = Sim_time.to_ns cfg.hold in
-  let checker_engine = Exec.engine exec ~group:0 in
-  ignore
-    (Engine.schedule_periodic checker_engine ~start:cfg.flush_period
-       ~period:cfg.flush_period (fun () ->
-         let now = Engine.now checker_engine in
-         let now_ns = Sim_time.to_ns now in
-         let m = Pending_arena.take_ready t.pend ~cutoff:(now_ns - hold_ns) in
-         ignore (apply_batch t ~now m);
-         true));
+  Uplink.start_flush up (apply_batch t);
   t
 
+(* Constant record: shared by every emit, never allocated. *)
+let strobe_tick = Trace.Clock_strobe { clock = "strobe_vector" }
+
 let emit t ~src ~var ~value =
-  if src < 0 || src >= t.cfg.n then
-    invalid_arg "Streaming_detector.emit: src out of range";
-  let g = t.cfg.group_of src in
-  let engine = Exec.engine t.exec ~group:g in
-  let now = Engine.now engine in
-  let slots = t.vars.(src) in
-  let rec slot_of i =
-    if i >= max_vars then
-      invalid_arg
-        "Streaming_detector.emit: more than 4 variables on one process"
-    else if slots.(i) = var then i
-    else if slots.(i) = "" then (slots.(i) <- var; i)
-    else slot_of (i + 1)
-  in
-  let var_idx = slot_of 0 in
-  let seq = t.seqs.(src) in
-  t.seqs.(src) <- seq + 1;
-  let stamp = Physical_clock.read t.clocks.(src) ~now in
+  let var_idx = Uplink.intern t.up ~src ~var in
   (* SVC1: tick + allocate the post-tick snapshot in this group's
      plane; the handle rides both the checker unicast and the strobes. *)
-  let vh = Strobe_vector.tick_and_strobe_into t.planes.(g) t.svclocks.(src) in
-  let u =
-    { Observation.src; var; value = Value.Int value; seq; sense_time = now }
+  let vh =
+    Strobe_vector.tick_and_strobe_into
+      t.planes.(t.cfg.group_of src)
+      t.svclocks.(src)
   in
-  let buf = t.by_group.(g) in
-  buf := u :: !buf;
-  Metrics.tick t.c_updates.(g);
-  (match t.sinks with
-  | Some s ->
-      Trace.emit s.(g) ~time:now ~pid:src
-        (Trace.Clock_strobe { clock = "strobe_vector" })
-  | None -> ());
-  let seqvar = (seq lsl var_bits) lor var_idx in
-  Shard_net.send t.net ~src ~dst:t.cfg.n ~a:value ~b:now
-    ~c:(Sim_time.to_ns stamp) ~d:seqvar ~e:vh;
+  Uplink.send t.up ~src ~var ~var_idx ~value ~vh ~clock:strobe_tick
+    ~mirror:(-1);
   (* Strobe the snapshot to every other source; receivers merge without
      ticking, so these deliveries are not lattice events.  A lost strobe
      only weakens the causal bound (wider slab), never correctness. *)
+  let net = Uplink.net t.up in
   for dst = 0 to t.cfg.n - 1 do
-    if dst <> src then
-      Shard_net.send t.net ~src ~dst ~a:vh ~b:0 ~c:0 ~d:0 ~e:0
+    if dst <> src then Shard_net.send net ~src ~dst ~a:vh ~b:0 ~c:0 ~d:0 ~e:0
   done
 
 let finish t =
@@ -465,8 +353,7 @@ let finish t =
     t.finished <- true;
     let checker_engine = Exec.engine t.exec ~group:0 in
     let now = Engine.now checker_engine in
-    let m = Pending_arena.take_ready t.pend ~cutoff:max_int in
-    ignore (apply_batch t ~now m);
+    apply_batch t ~now (Pending_arena.take_ready t.pend ~cutoff:max_int);
     t.cur_now := now;
     t.cur_sense := Sim_time.to_ns now;
     t.cur_trigger := None;
@@ -474,37 +361,14 @@ let finish t =
       Streaming.close_pid t.stream ~pid
     done;
     Streaming.finish t.stream;
-    let committed =
-      match Streaming.committed_cuts t.stream with
-      | Psn_lattice.Packed.Exact c | Psn_lattice.Packed.At_least c -> c
-    in
-    match t.sinks with
-    | Some s ->
-        Trace.emit s.(0) ~time:now ~pid:(checker_pid t)
-          (Trace.Lattice_commit
-             {
-               level = Streaming.committed_level t.stream;
-               live = Streaming.live_cuts t.stream;
-               committed;
-             })
-    | None -> ()
+    (* Lost, or still in flight at the horizon: never reached the walk. *)
+    t.unfed <- Uplink.emitted t.up - Streaming.events_observed t.stream;
+    trace_commit t ~now
   end
 
-let net t = t.net
+let net t = Uplink.net t.up
 let stream t = t.stream
-
-let updates t =
-  let all =
-    Array.fold_left (fun acc buf -> List.rev_append !buf acc) [] t.by_group
-  in
-  List.sort
-    (fun (a : Observation.update) (b : Observation.update) ->
-      let c = Sim_time.compare a.sense_time b.sense_time in
-      if c <> 0 then c
-      else
-        let c = Stdlib.compare (a.src : int) b.src in
-        if c <> 0 then c else Stdlib.compare (a.seq : int) b.seq)
-    all
-
+let updates t = Uplink.updates t.up
 let edges t = List.rev !(t.edges)
 let observed t = Streaming.events_observed t.stream
+let unfed t = t.unfed

@@ -1,14 +1,12 @@
 (** Online Possibly/Definitely detector over an {!Psn_sim.Exec} substrate.
 
-    The streaming counterpart of the post-hoc lattice walk: [n] sensor
-    processes (pids [0 .. n-1]) run strobe vector clocks
-    ({!Psn_clocks.Strobe_vector} — receivers merge, never tick), stamp
-    each local-variable update, and unicast it over a
-    {!Psn_network.Shard_net} to a checker process (pid [n], group 0 /
-    shard 0) while strobing the post-tick stamp to every other source.
-    The checker buffers arrivals and, on the hold-back flush schedule of
-    {!Sharded_detector}, feeds each source's updates {e in sequence
-    order} to a {!Psn_lattice.Streaming} frontier walk, which commits
+    The streaming counterpart of the post-hoc lattice walk.  Updates
+    travel the {!Uplink}; on top of it, sources run strobe vector clocks
+    ({!Psn_clocks.Strobe_vector} — receivers merge, never tick), ship
+    each update's post-tick stamp handle in the uplink's plane lane, and
+    strobe it to every other source.  At each flush the checker feeds
+    each source's updates {e in sequence order} to a
+    {!Psn_lattice.Streaming} frontier walk, which commits
     consistent cuts as levels finalize, evaluates the predicate on every
     committed cut, reclaims the retired slab, and emits
     Possibly/Definitely verdict {e edges} the moment they are decided —
@@ -30,12 +28,8 @@
     source's observed prefix and the minimum-progress bound — hence the
     committed frontier — keeps advancing.  A lost update truncates its
     source's contribution at the gap (later sequence numbers can never
-    apply); run lossless for exact differential work.
-
-    {b Cross-shard discipline} matches {!Sharded_detector}: per-group
-    stamp planes are written only by their group's sources; the checker
-    and strobe receivers read foreign plane stamps only at delivery,
-    which the window barrier orders after the write. *)
+    apply); run lossless for exact differential work.  Updates still in
+    flight at the horizon never apply either; {!unfed} counts both. *)
 
 type cfg = {
   n : int;  (** sensor pids [0 .. n-1]; the checker is pid [n] *)
@@ -61,19 +55,18 @@ type edge = {
 val create :
   ?loss:Psn_sim.Loss_model.t ->
   ?sinks:Psn_obs.Trace.sink array ->
-  ?arena:Detector_arena.t ->
+  ?arena:Uplink.Arena.t ->
   ?on_observe:(pid:int -> stamp:int array -> unit) ->
   Psn_sim.Exec.t -> cfg:cfg -> delay:Psn_sim.Delay_model.t ->
   predicate:Psn_predicates.Expr.t -> unit -> t
-(** Builds the transport (label ["stream_detector"]), per-pid physical
-    and strobe vector clocks, per-group stamp planes, and the checker's
-    flush schedule on group 0's engine.  The predicate is evaluated once
-    per committed cut over each source's value history at that cut
-    (unbound variables make a cut ¬φ, as in
+(** Builds the uplink (transport label ["stream_detector"]), per-pid
+    strobe vector clocks, and per-group stamp planes.  The predicate is
+    evaluated once per committed cut over each source's value history at
+    that cut (unbound variables make a cut ¬φ, as in
     {!Psn_lattice.Modal.holds_of_expr}).  [sinks] (one per group) trace
     strobes, updates, occurrences, per-flush [Lattice_commit]
     milestones, and the transport records.  [arena] reuses construction
-    arrays across same-seed runs ({!Detector_arena}).  [on_observe] is a
+    arrays across same-seed runs ({!Uplink.Arena}).  [on_observe] is a
     diagnostic tap called with every stamp in the exact order the
     streaming walk consumes it — the scratch array is reused, copy to
     keep — which is how the differential suite replays the same prefix
@@ -81,9 +74,9 @@ val create :
 
 val emit : t -> src:int -> var:string -> value:int -> unit
 (** Called from a sense event executing on [src]'s group engine: stamps
-    the update (physical + strobe vector), unicasts it to the checker,
-    and strobes the stamp to every other source.  At most four distinct
-    variable names per source, as in {!Sharded_detector.emit}. *)
+    the update (physical + strobe vector), sends it up the {!Uplink},
+    and strobes the stamp to every other source.  Raises as
+    {!Uplink.intern} does. *)
 
 val finish : t -> unit
 (** After [Exec.run]: apply every still-buffered arrival in key order,
@@ -96,11 +89,15 @@ val stream : t -> Psn_lattice.Streaming.t
     slab evidence). *)
 
 val updates : t -> Observation.update list
-(** Every update emitted, merged across groups in (sense_time, src, seq)
-    order — the ground-truth stream. *)
+(** {!Uplink.updates}: every update emitted, the ground-truth stream. *)
 
 val edges : t -> edge list
 (** Verdict edges in decision order. *)
 
 val observed : t -> int
 (** Updates fed to the walk so far (= [Streaming.events_observed]). *)
+
+val unfed : t -> int
+(** After {!finish}: updates emitted but never fed to the walk — lost,
+    stranded behind a lost predecessor, or still in flight at the
+    horizon (emitted − {!observed}); 0 before. *)

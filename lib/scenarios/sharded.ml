@@ -62,6 +62,9 @@ let entity_rng seed tag =
     ~seed:(Int64.add seed (Int64.mul (Int64.of_int (tag + 1)) 0xBF58476D1CE4E5B9L))
     ()
 
+(* Every workload's partition: [n] processes in [groups] strips. *)
+let strips ~groups ~n pid = pid * groups / n
+
 (* Build detector + world, run, score — shared by every workload. *)
 let execute (dc : detect_cfg) exec ?sinks ~n ~group_of ~predicate ~init
     ~populate () =
@@ -92,27 +95,26 @@ let execute (dc : detect_cfg) exec ?sinks ~n ~group_of ~predicate ~init
       ~truth ~detections:occurrences ()
   in
   let net = Sharded_detector.net det in
-  ( {
-      Psn.Report.summary;
-      truth;
-      occurrences;
-      updates = List.length updates;
-      messages = Shard_net.sent net;
-      words = Shard_net.words net;
-      dropped = Shard_net.dropped net;
-      sim_events = Exec.events_processed exec;
-      horizon = dc.horizon;
-      metrics = Exec.merged_metrics exec;
-      sharding =
-        (if Exec.is_sharded exec then
-           Some
-             {
-               Psn.Report.si_windows = Exec.windows exec;
-               si_per_shard = Exec.shard_snapshots exec;
-             }
-         else None);
-    },
-    det )
+  {
+    Psn.Report.summary;
+    truth;
+    occurrences;
+    updates = List.length updates;
+    messages = Shard_net.sent net;
+    words = Shard_net.words net;
+    dropped = Shard_net.dropped net;
+    sim_events = Exec.events_processed exec;
+    horizon = dc.horizon;
+    metrics = Exec.merged_metrics exec;
+    sharding =
+      (if Exec.is_sharded exec then
+         Some
+           {
+             Psn.Report.si_windows = Exec.windows exec;
+             si_per_shard = Exec.shard_snapshots exec;
+           }
+       else None);
+  }
 
 (* {2 Exhibition hall}
 
@@ -152,39 +154,36 @@ let hall_init cfg =
 let hall ?(cfg = hall_default) ?sinks exec =
   if cfg.doors <= 0 then invalid_arg "Sharded.hall: doors";
   let dc = cfg.detect in
-  let group_of pid = pid * dc.groups / cfg.doors in
+  let group_of = strips ~groups:dc.groups ~n:cfg.doors in
   let seed = Exec.seed exec in
-  let report, _det =
-    execute dc exec ?sinks ~n:cfg.doors ~group_of
-      ~predicate:(hall_predicate cfg) ~init:(hall_init cfg)
-      ~populate:(fun det ->
-        let xs = Array.make cfg.doors 0 and ys = Array.make cfg.doors 0 in
-        for v = 0 to cfg.visitors - 1 do
-          let rng = entity_rng seed v in
-          let rec walk t inside =
-            let dwell = Rng.exponential rng ~mean:cfg.dwell_mean in
-            let t' = Sim_time.add t (Sim_time.of_sec_float dwell) in
-            if Sim_time.( < ) t' dc.horizon then begin
-              let door = Rng.int rng cfg.doors in
-              let engine = Exec.engine exec ~group:(group_of door) in
-              if inside then
-                Engine.schedule_at_unit engine t' (fun () ->
-                    ys.(door) <- ys.(door) + 1;
-                    Sharded_detector.emit det ~src:door ~var:"y"
-                      ~value:ys.(door))
-              else
-                Engine.schedule_at_unit engine t' (fun () ->
-                    xs.(door) <- xs.(door) + 1;
-                    Sharded_detector.emit det ~src:door ~var:"x"
-                      ~value:xs.(door));
-              walk t' (not inside)
-            end
-          in
-          walk Sim_time.zero false
-        done)
-      ()
-  in
-  report
+  execute dc exec ?sinks ~n:cfg.doors ~group_of
+    ~predicate:(hall_predicate cfg) ~init:(hall_init cfg)
+    ~populate:(fun det ->
+      let xs = Array.make cfg.doors 0 and ys = Array.make cfg.doors 0 in
+      for v = 0 to cfg.visitors - 1 do
+        let rng = entity_rng seed v in
+        let rec walk t inside =
+          let dwell = Rng.exponential rng ~mean:cfg.dwell_mean in
+          let t' = Sim_time.add t (Sim_time.of_sec_float dwell) in
+          if Sim_time.( < ) t' dc.horizon then begin
+            let door = Rng.int rng cfg.doors in
+            let engine = Exec.engine exec ~group:(group_of door) in
+            if inside then
+              Engine.schedule_at_unit engine t' (fun () ->
+                  ys.(door) <- ys.(door) + 1;
+                  Sharded_detector.emit det ~src:door ~var:"y"
+                    ~value:ys.(door))
+            else
+              Engine.schedule_at_unit engine t' (fun () ->
+                  xs.(door) <- xs.(door) + 1;
+                  Sharded_detector.emit det ~src:door ~var:"x"
+                    ~value:xs.(door));
+            walk t' (not inside)
+          end
+        in
+        walk Sim_time.zero false
+      done)
+    ()
 
 (* {2 Banking}
 
@@ -220,36 +219,59 @@ let banking_init cfg =
 let banking ?(cfg = banking_default) ?sinks exec =
   if cfg.tellers <= 0 then invalid_arg "Sharded.banking: tellers";
   let dc = cfg.detect in
-  let group_of pid = pid * dc.groups / cfg.tellers in
+  let group_of = strips ~groups:dc.groups ~n:cfg.tellers in
   let seed = Exec.seed exec in
-  let report, _det =
-    execute dc exec ?sinks ~n:cfg.tellers ~group_of
-      ~predicate:(banking_predicate cfg) ~init:(banking_init cfg)
-      ~populate:(fun det ->
-        for teller = 0 to cfg.tellers - 1 do
-          let rng = entity_rng seed teller in
-          let engine = Exec.engine exec ~group:(group_of teller) in
-          let rec sessions t =
-            let gap =
-              Rng.exponential rng ~mean:(3600.0 /. cfg.sessions_per_hour)
-            in
-            let start = Sim_time.add t (Sim_time.of_sec_float gap) in
-            let len = Rng.exponential rng ~mean:cfg.session_mean in
-            let stop = Sim_time.add start (Sim_time.of_sec_float len) in
-            if Sim_time.( < ) start dc.horizon then begin
-              Engine.schedule_at_unit engine start (fun () ->
-                  Sharded_detector.emit det ~src:teller ~var:"busy" ~value:1);
-              if Sim_time.( < ) stop dc.horizon then
-                Engine.schedule_at_unit engine stop (fun () ->
-                    Sharded_detector.emit det ~src:teller ~var:"busy" ~value:0);
-              sessions stop
-            end
+  execute dc exec ?sinks ~n:cfg.tellers ~group_of
+    ~predicate:(banking_predicate cfg) ~init:(banking_init cfg)
+    ~populate:(fun det ->
+      for teller = 0 to cfg.tellers - 1 do
+        let rng = entity_rng seed teller in
+        let engine = Exec.engine exec ~group:(group_of teller) in
+        let rec sessions t =
+          let gap =
+            Rng.exponential rng ~mean:(3600.0 /. cfg.sessions_per_hour)
           in
-          sessions Sim_time.zero
-        done)
-      ()
-  in
-  report
+          let start = Sim_time.add t (Sim_time.of_sec_float gap) in
+          let len = Rng.exponential rng ~mean:cfg.session_mean in
+          let stop = Sim_time.add start (Sim_time.of_sec_float len) in
+          if Sim_time.( < ) start dc.horizon then begin
+            Engine.schedule_at_unit engine start (fun () ->
+                Sharded_detector.emit det ~src:teller ~var:"busy" ~value:1);
+            if Sim_time.( < ) stop dc.horizon then
+              Engine.schedule_at_unit engine stop (fun () ->
+                  Sharded_detector.emit det ~src:teller ~var:"busy" ~value:0);
+            sessions stop
+          end
+        in
+        sessions Sim_time.zero
+      done)
+    ()
+
+(* Sampled random walks, one per process from its entity stream:
+   exponential gaps of mean [period] seconds; each sample moves the
+   value by [step rng value] and calls [emit pid value] on the process's
+   group engine.  A process's samples fire in time order and share its
+   state, so they share one closure too. *)
+let sample_walk exec ~n ~group_of ~period ~horizon ~init step emit =
+  let seed = Exec.seed exec in
+  for pid = 0 to n - 1 do
+    let rng = entity_rng seed pid in
+    let engine = Exec.engine exec ~group:(group_of pid) in
+    let v = ref init in
+    let sample () =
+      v := step rng !v;
+      emit pid !v
+    in
+    let rec samples t =
+      let gap = Rng.exponential rng ~mean:period in
+      let at = Sim_time.add t (Sim_time.of_sec_float gap) in
+      if Sim_time.( < ) at horizon then begin
+        Engine.schedule_at_unit engine at sample;
+        samples at
+      end
+    in
+    samples Sim_time.zero
+  done
 
 (* {2 Hospital}
 
@@ -299,14 +321,27 @@ type calm_cfg = {
 let calm_default =
   { monitors = 12; limit = 60; sample_period = 5.0; detect = default_detect }
 
-let calm_predicate cfg =
-  let terms =
-    List.init cfg.monitors (fun i ->
-        Expr.(var ~name:"load" ~loc:i <=? int cfg.limit))
-  in
-  match terms with
-  | [] -> invalid_arg "Sharded.calm_predicate: monitors"
+(* ∧_i (load_i <= limit) over [monitors] processes. *)
+let all_calm ~who ~monitors ~limit =
+  match
+    List.init monitors (fun i -> Expr.(var ~name:"load" ~loc:i <=? int limit))
+  with
+  | [] -> invalid_arg (who ^ ": monitors")
   | first :: rest -> List.fold_left Expr.( &&& ) first rest
+
+let calm_predicate cfg =
+  all_calm ~who:"Sharded.calm_predicate" ~monitors:cfg.monitors
+    ~limit:cfg.limit
+
+(* The calm walk: a downward-drifting load (step in -6 .. +4) with rare
+   spikes, so the all-calm conjunction keeps flipping — drift pulls
+   every monitor under the limit, a spike breaks one conjunct, the drift
+   repairs it. *)
+let calm_step rng load =
+  if Rng.int rng 25 = 0 then 70 + Rng.int rng 30
+  else
+    let step = Rng.int rng 11 - 6 in
+    Stdlib.max 0 (Stdlib.min 100 (load + step))
 
 let calm_init cfg =
   List.init cfg.monitors (fun i ->
@@ -315,40 +350,14 @@ let calm_init cfg =
 let calm ?(cfg = calm_default) ?sinks exec =
   if cfg.monitors <= 0 then invalid_arg "Sharded.calm: monitors";
   let dc = cfg.detect in
-  let group_of pid = pid * dc.groups / cfg.monitors in
-  let seed = Exec.seed exec in
-  let report, _det =
-    execute dc exec ?sinks ~n:cfg.monitors ~group_of
-      ~predicate:(calm_predicate cfg) ~init:(calm_init cfg)
-      ~populate:(fun det ->
-        for m = 0 to cfg.monitors - 1 do
-          let rng = entity_rng seed m in
-          let engine = Exec.engine exec ~group:(group_of m) in
-          let load = ref 80 in
-          let rec samples t =
-            let gap = Rng.exponential rng ~mean:cfg.sample_period in
-            let at = Sim_time.add t (Sim_time.of_sec_float gap) in
-            if Sim_time.( < ) at dc.horizon then begin
-              Engine.schedule_at_unit engine at (fun () ->
-                  (* Downward-drifting walk (step in -6 .. +4) with rare
-                     spikes, so the all-calm conjunction keeps flipping:
-                     drift pulls every monitor under [limit], a spike
-                     breaks one conjunct, the drift repairs it. *)
-                  let spiked = Rng.int rng 25 = 0 in
-                  load :=
-                    (if spiked then 70 + Rng.int rng 30
-                     else
-                       let step = Rng.int rng 11 - 6 in
-                       Stdlib.max 0 (Stdlib.min 100 (!load + step)));
-                  Sharded_detector.emit det ~src:m ~var:"load" ~value:!load);
-              samples at
-            end
-          in
-          samples Sim_time.zero
-        done)
-      ()
-  in
-  report
+  let group_of = strips ~groups:dc.groups ~n:cfg.monitors in
+  execute dc exec ?sinks ~n:cfg.monitors ~group_of
+    ~predicate:(calm_predicate cfg) ~init:(calm_init cfg)
+    ~populate:(fun det ->
+      sample_walk exec ~n:cfg.monitors ~group_of ~period:cfg.sample_period
+        ~horizon:dc.horizon ~init:80 calm_step (fun m v ->
+          Sharded_detector.emit det ~src:m ~var:"load" ~value:v))
+    ()
 
 (* {2 Streamed modal detection}
 
@@ -379,13 +388,8 @@ let stream_default =
   }
 
 let stream_predicate cfg =
-  let terms =
-    List.init cfg.s_monitors (fun i ->
-        Expr.(var ~name:"load" ~loc:i <=? int cfg.s_limit))
-  in
-  match terms with
-  | [] -> invalid_arg "Sharded.stream_predicate: monitors"
-  | first :: rest -> List.fold_left Expr.( &&& ) first rest
+  all_calm ~who:"Sharded.stream_predicate" ~monitors:cfg.s_monitors
+    ~limit:cfg.s_limit
 
 type stream_result = {
   sr_possibly : bool option;
@@ -393,6 +397,7 @@ type stream_result = {
   sr_committed : Psn_lattice.Packed.verdict;
   sr_observed : int;
   sr_updates : int;
+  sr_unfed : int;
   sr_edges : Streaming_detector.edge list;
   sr_peak_live_cuts : int;
   sr_peak_live_events : int;
@@ -403,8 +408,7 @@ type stream_result = {
 let stream ?(cfg = stream_default) ?sinks ?arena ?on_observe exec =
   if cfg.s_monitors <= 0 then invalid_arg "Sharded.stream: monitors";
   let dc = cfg.s_detect in
-  let group_of pid = pid * dc.groups / cfg.s_monitors in
-  let seed = Exec.seed exec in
+  let group_of = strips ~groups:dc.groups ~n:cfg.s_monitors in
   let dcfg =
     {
       Streaming_detector.n = cfg.s_monitors;
@@ -420,27 +424,9 @@ let stream ?(cfg = stream_default) ?sinks ?arena ?on_observe exec =
     Streaming_detector.create ~loss:dc.loss ?sinks ?arena ?on_observe exec
       ~cfg:dcfg ~delay:dc.delay ~predicate:(stream_predicate cfg) ()
   in
-  for m = 0 to cfg.s_monitors - 1 do
-    let rng = entity_rng seed m in
-    let engine = Exec.engine exec ~group:(group_of m) in
-    let load = ref 80 in
-    let rec samples t =
-      let gap = Rng.exponential rng ~mean:cfg.s_sample_period in
-      let at = Sim_time.add t (Sim_time.of_sec_float gap) in
-      if Sim_time.( < ) at dc.horizon then begin
-        Engine.schedule_at_unit engine at (fun () ->
-            let spiked = Rng.int rng 25 = 0 in
-            load :=
-              (if spiked then 70 + Rng.int rng 30
-               else
-                 let step = Rng.int rng 11 - 6 in
-                 Stdlib.max 0 (Stdlib.min 100 (!load + step)));
-            Streaming_detector.emit det ~src:m ~var:"load" ~value:!load);
-        samples at
-      end
-    in
-    samples Sim_time.zero
-  done;
+  sample_walk exec ~n:cfg.s_monitors ~group_of ~period:cfg.s_sample_period
+    ~horizon:dc.horizon ~init:80 calm_step (fun m v ->
+      Streaming_detector.emit det ~src:m ~var:"load" ~value:v);
   Exec.run exec ~until:dc.horizon;
   Streaming_detector.finish det;
   let s = Streaming_detector.stream det in
@@ -451,6 +437,7 @@ let stream ?(cfg = stream_default) ?sinks ?arena ?on_observe exec =
       sr_committed = Psn_lattice.Streaming.committed_cuts s;
       sr_observed = Psn_lattice.Streaming.events_observed s;
       sr_updates = List.length (Streaming_detector.updates det);
+      sr_unfed = Streaming_detector.unfed det;
       sr_edges = Streaming_detector.edges det;
       sr_peak_live_cuts = Psn_lattice.Streaming.peak_live_cuts s;
       sr_peak_live_events = Psn_lattice.Streaming.peak_live_events s;
@@ -462,30 +449,15 @@ let stream ?(cfg = stream_default) ?sinks ?arena ?on_observe exec =
 let hospital ?(cfg = hospital_default) ?sinks exec =
   if cfg.wards <= 0 then invalid_arg "Sharded.hospital: wards";
   let dc = cfg.detect in
-  let group_of pid = pid * dc.groups / cfg.wards in
-  let seed = Exec.seed exec in
-  let report, _det =
-    execute dc exec ?sinks ~n:cfg.wards ~group_of
-      ~predicate:(hospital_predicate cfg) ~init:(hospital_init cfg)
-      ~populate:(fun det ->
-        for ward = 0 to cfg.wards - 1 do
-          let rng = entity_rng seed ward in
-          let engine = Exec.engine exec ~group:(group_of ward) in
-          let vital = ref 100 in
-          let rec samples t =
-            let gap = Rng.exponential rng ~mean:cfg.sample_period in
-            let at = Sim_time.add t (Sim_time.of_sec_float gap) in
-            if Sim_time.( < ) at dc.horizon then begin
-              Engine.schedule_at_unit engine at (fun () ->
-                  let step = Rng.int rng 11 - 5 in
-                  vital := Stdlib.max 50 (Stdlib.min 160 (!vital + step));
-                  Sharded_detector.emit det ~src:ward ~var:"vital"
-                    ~value:!vital);
-              samples at
-            end
-          in
-          samples Sim_time.zero
-        done)
-      ()
-  in
-  report
+  let group_of = strips ~groups:dc.groups ~n:cfg.wards in
+  execute dc exec ?sinks ~n:cfg.wards ~group_of
+    ~predicate:(hospital_predicate cfg) ~init:(hospital_init cfg)
+    ~populate:(fun det ->
+      sample_walk exec ~n:cfg.wards ~group_of ~period:cfg.sample_period
+        ~horizon:dc.horizon ~init:100
+        (fun rng vital ->
+          let step = Rng.int rng 11 - 5 in
+          Stdlib.max 50 (Stdlib.min 160 (vital + step)))
+        (fun ward v ->
+          Sharded_detector.emit det ~src:ward ~var:"vital" ~value:v))
+    ()

@@ -113,6 +113,7 @@ type stream_result = {
   sr_committed : Psn_lattice.Packed.verdict;
   sr_observed : int;
   sr_updates : int;
+  sr_unfed : int;  (** {!Psn_detection.Streaming_detector.unfed} *)
   sr_edges : Psn_detection.Streaming_detector.edge list;
   sr_peak_live_cuts : int;
   sr_peak_live_events : int;
@@ -123,7 +124,7 @@ type stream_result = {
 val stream :
   ?cfg:stream_cfg ->
   ?sinks:Psn_obs.Trace.sink array ->
-  ?arena:Psn_detection.Detector_arena.t ->
+  ?arena:Psn_detection.Uplink.Arena.t ->
   ?on_observe:(pid:int -> stamp:int array -> unit) ->
   Psn_sim.Exec.t ->
   stream_result * Psn_detection.Streaming_detector.t

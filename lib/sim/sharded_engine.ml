@@ -20,46 +20,22 @@
    destination pid, and [lanes] payload words — in one flat [int array]
    that grows by doubling and is reused across windows, so a
    steady-state cross-shard send writes 9 ints and allocates nothing.
-   Delivery closures are pooled per destination shard (same trick as
-   [Net]'s delivery records): acquired by the coordinator at the
-   barrier, released by the shard when they fire, never concurrently. *)
+   Each shard's deliveries go through its own [Delivery_pool]: acquired
+   by the coordinator at the barrier, released by the shard when they
+   fire, never concurrently. *)
 
-type handler =
-  dst:int ->
-  w0:int -> w1:int -> w2:int -> w3:int -> w4:int -> w5:int -> w6:int -> unit
+type handler = Delivery_pool.handler
 
 let lanes = 7
 let stride = lanes + 2 (* at, dst, w0..w6 *)
-
-(* A pooled delivery: mutable lanes plus a closure allocated once per
-   record.  [d_fire] copies the lanes to locals and releases the record
-   before invoking the handler, so re-entrant same-shard sends can reuse
-   it immediately. *)
-type delivery = {
-  mutable v_dst : int;
-  mutable v0 : int;
-  mutable v1 : int;
-  mutable v2 : int;
-  mutable v3 : int;
-  mutable v4 : int;
-  mutable v5 : int;
-  mutable v6 : int;
-  d_fire : unit -> unit;
-}
-
-type shard = {
-  engine : Engine.t;
-  mutable handler : handler option;
-  mutable pool : delivery array; (* free stack, see header comment *)
-  mutable pool_len : int;
-}
 
 type mailbox = { mutable buf : int array; mutable len : int (* ints used *) }
 
 type t = {
   k : int;
   lookahead : int; (* ns, > 0 *)
-  shard : shard array;
+  engines : Engine.t array;
+  shard : Delivery_pool.t array; (* one per engine *)
   mail : mailbox array; (* src * k + dst; diagonal entries stay empty *)
   mutable window_end : int; (* exclusive end of the last window run *)
   mutable rounds : int;
@@ -74,22 +50,17 @@ let create ?(seed = 42L) ~shards ~lookahead () =
       "Sharded_engine.create: lookahead must be positive — a delay model \
        with Delay_model.min_delay = 0 offers no conservative window and \
        cannot drive a sharded run";
-  let shard =
+  let engines =
     Array.init shards (fun s ->
-        {
-          engine =
-            Engine.create
-              ~seed:(Int64.add seed (Int64.of_int (s * 0x9E3779B9)))
-              ~use_default_obs:false ();
-          handler = None;
-          pool = [||];
-          pool_len = 0;
-        })
+        Engine.create
+          ~seed:(Int64.add seed (Int64.of_int (s * 0x9E3779B9)))
+          ~use_default_obs:false ())
   in
   {
     k = shards;
     lookahead = Sim_time.to_ns lookahead;
-    shard;
+    engines;
+    shard = Array.map Delivery_pool.create engines;
     mail = Array.init (shards * shards) (fun _ -> { buf = [||]; len = 0 });
     window_end = 0;
     rounds = 0;
@@ -100,56 +71,22 @@ let create ?(seed = 42L) ~shards ~lookahead () =
 
 let shards t = t.k
 let lookahead t = t.lookahead
-let engine t s = t.shard.(s).engine
+let engine t s = t.engines.(s)
 let windows t = t.rounds
-let now t = Engine.now t.shard.(0).engine
+let now t = Engine.now t.engines.(0)
 let stats t = t.stats
 
-let set_handler t ~shard h = t.shard.(shard).handler <- Some h
+let set_handler t ~shard h = Delivery_pool.set_handler t.shard.(shard) h
 
 let events_processed t =
-  Array.fold_left (fun acc s -> acc + Engine.events_processed s.engine) 0 t.shard
+  Array.fold_left (fun acc e -> acc + Engine.events_processed e) 0 t.engines
 
 let merged_metrics t =
   Psn_obs.Metrics.merge_snapshots
     (Array.to_list
-       (Array.map (fun s -> Psn_obs.Metrics.snapshot (Engine.metrics s.engine)) t.shard))
-
-let release sh r =
-  if sh.pool_len = Array.length sh.pool then begin
-    let np = Array.make (2 * max 4 (Array.length sh.pool)) r in
-    Array.blit sh.pool 0 np 0 sh.pool_len;
-    sh.pool <- np
-  end;
-  sh.pool.(sh.pool_len) <- r;
-  sh.pool_len <- sh.pool_len + 1
-
-let acquire sh ~dst ~w0 ~w1 ~w2 ~w3 ~w4 ~w5 ~w6 =
-  if sh.pool_len = 0 then
-    let rec r =
-      {
-        v_dst = dst;
-        v0 = w0; v1 = w1; v2 = w2; v3 = w3; v4 = w4; v5 = w5; v6 = w6;
-        d_fire =
-          (fun () ->
-            let dst = r.v_dst in
-            let w0 = r.v0 and w1 = r.v1 and w2 = r.v2 and w3 = r.v3 in
-            let w4 = r.v4 and w5 = r.v5 and w6 = r.v6 in
-            release sh r;
-            match sh.handler with
-            | Some h -> h ~dst ~w0 ~w1 ~w2 ~w3 ~w4 ~w5 ~w6
-            | None -> ());
-      }
-    in
-    r
-  else begin
-    sh.pool_len <- sh.pool_len - 1;
-    let r = sh.pool.(sh.pool_len) in
-    r.v_dst <- dst;
-    r.v0 <- w0; r.v1 <- w1; r.v2 <- w2; r.v3 <- w3;
-    r.v4 <- w4; r.v5 <- w5; r.v6 <- w6;
-    r
-  end
+       (Array.map
+          (fun e -> Psn_obs.Metrics.snapshot (Engine.metrics e))
+          t.engines))
 
 let post t ~src_shard ~dst_shard ~at ~dst ~w0 ~w1 ~w2 ~w3 ~w4 ~w5 ~w6 =
   if src_shard = dst_shard then begin
@@ -157,9 +94,8 @@ let post t ~src_shard ~dst_shard ~at ~dst ~w0 ~w1 ~w2 ~w3 ~w4 ~w5 ~w6 =
        would — this keeps K=1 sharded runs event-for-event identical to
        the oracle.  Runs on the shard's own domain, touching only its
        own pool and queue. *)
-    let sh = t.shard.(src_shard) in
-    let r = acquire sh ~dst ~w0 ~w1 ~w2 ~w3 ~w4 ~w5 ~w6 in
-    Engine.schedule_at_unit sh.engine at r.d_fire
+    Delivery_pool.schedule t.shard.(src_shard) ~at ~dst ~w0 ~w1 ~w2 ~w3 ~w4
+      ~w5 ~w6
   end
   else begin
     let box = t.mail.((src_shard * t.k) + dst_shard) in
@@ -208,12 +144,9 @@ let drain t =
                   at %dns; the transport sampled a delay below the \
                   engine's lookahead bound"
                  src dst at t.window_end);
-          let r =
-            acquire sh ~dst:b.(!o + 1) ~w0:b.(!o + 2) ~w1:b.(!o + 3)
-              ~w2:b.(!o + 4) ~w3:b.(!o + 5) ~w4:b.(!o + 6) ~w5:b.(!o + 7)
-              ~w6:b.(!o + 8)
-          in
-          Engine.schedule_at_unit sh.engine at r.d_fire;
+          Delivery_pool.schedule sh ~at ~dst:b.(!o + 1) ~w0:b.(!o + 2)
+            ~w1:b.(!o + 3) ~w2:b.(!o + 4) ~w3:b.(!o + 5) ~w4:b.(!o + 6)
+            ~w5:b.(!o + 7) ~w6:b.(!o + 8);
           o := !o + stride
         done;
         box.len <- 0
@@ -224,8 +157,8 @@ let drain t =
 
 let global_next t =
   Array.fold_left
-    (fun acc s -> min acc (Engine.next_time_ns s.engine))
-    max_int t.shard
+    (fun acc e -> min acc (Engine.next_time_ns e))
+    max_int t.engines
 
 let run t ~until =
   let st = t.stats in
@@ -262,11 +195,11 @@ let run t ~until =
           ignore
             (Psn_util.Parallel.init t.k (fun s ->
                  let b0 = Psn_obs.Shard_stats.now_ns () in
-                 let sh = t.shard.(s) in
-                 Engine.run ~until:w_last sh.engine;
+                 let e = t.engines.(s) in
+                 Engine.run ~until:w_last e;
                  (* Writes only slot [s]; the pool join publishes it. *)
                  Psn_obs.Shard_stats.shard_report st ~shard:s
-                   ~events_total:(Engine.events_processed sh.engine)
+                   ~events_total:(Engine.events_processed e)
                    ~busy_ns:(Psn_obs.Shard_stats.now_ns () - b0))));
       Psn_obs.Shard_stats.window_close st ~clipped:(cand > until_ns + 1)
         ~par_ns:(Psn_obs.Shard_stats.now_ns () - d2);
@@ -275,6 +208,6 @@ let run t ~until =
   done;
   (* Align every clock on the horizon (queues hold only events beyond
      it, so this drains nothing). *)
-  Array.iter (fun s -> Engine.run ~until s.engine) t.shard;
+  Array.iter (fun e -> Engine.run ~until e) t.engines;
   Psn_obs.Shard_stats.run_done st
     ~wall_ns:(Psn_obs.Shard_stats.now_ns () - r0)

@@ -24,7 +24,8 @@
     barrier.  Same-shard sends schedule directly, exactly as on a
     single-queue engine.  Payloads are [lanes] integer words handed to
     the destination shard's {!handler}; delivery closures come from a
-    per-shard pool, so steady-state delivery allocates nothing.
+    per-shard {!Delivery_pool}, so steady-state delivery allocates
+    nothing.
 
     Determinism: shard assignment is the caller's (fixed) mapping,
     mailbox drain order is fixed, and each shard's engine is seeded from
@@ -33,12 +34,8 @@
 
 type t
 
-type handler =
-  dst:int ->
-  w0:int -> w1:int -> w2:int -> w3:int -> w4:int -> w5:int -> w6:int -> unit
-(** Delivery callback of one shard: [dst] is the destination process id,
-    [w0..w6] the payload lanes.  Runs on the destination shard's domain
-    with that shard's engine clock at the delivery time. *)
+type handler = Delivery_pool.handler
+(** Runs on the destination shard's domain. *)
 
 val lanes : int
 (** Payload lanes per message (7). *)

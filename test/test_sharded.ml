@@ -446,7 +446,7 @@ let test_merge_snapshots () =
    construction-arena reuse. *)
 
 module Streaming_detector = Psn_detection.Streaming_detector
-module Detector_arena = Psn_detection.Detector_arena
+module Arena = Psn_detection.Uplink.Arena
 module Lattice = Psn_lattice.Lattice
 module Modal = Psn_lattice.Modal
 module Streaming = Psn_lattice.Streaming
@@ -471,7 +471,10 @@ let test_stream_differential =
 
 (* The non-negotiable oracle: replay the exact stamp prefix the walk
    consumed (via the [on_observe] tap) through the packed post-hoc
-   engines and compare verdicts and committed-cut counts verbatim. *)
+   engines and compare verdicts and committed-cut counts verbatim.  Even
+   a lossless run may leave updates in flight at the horizon, so the
+   accounting is exact (fed + unfed = emitted) and the oracle sees only
+   each source's fed prefix. *)
 let test_stream_matches_packed =
   qtest ~count:6 "stream = packed post-hoc on the consumed prefix"
     QCheck.(int_range 0 10_000)
@@ -488,7 +491,7 @@ let test_stream_matches_packed =
       let stamps =
         Array.map (fun l -> Array.of_list (List.rev l)) captured
       in
-      let writes =
+      let emitted =
         Array.init n (fun i ->
             Streaming_detector.updates det
             |> List.filter (fun (u : Psn_detection.Observation.update) ->
@@ -499,14 +502,20 @@ let test_stream_matches_packed =
                    (u.var, u.value))
             |> Array.of_list)
       in
-      (* Lossless run: everything emitted was fed. *)
-      Array.iteri
-        (fun i evs ->
-          if Array.length evs <> Array.length writes.(i) then
-            QCheck.Test.fail_reportf "pid %d fed %d of %d updates" i
-              (Array.length evs)
-              (Array.length writes.(i)))
-        stamps;
+      let fed = Array.fold_left (fun acc evs -> acc + Array.length evs) 0 stamps in
+      if fed + r.Sharded.sr_unfed <> r.Sharded.sr_updates then
+        QCheck.Test.fail_reportf "fed %d + unfed %d <> emitted %d" fed
+          r.Sharded.sr_unfed r.Sharded.sr_updates;
+      let writes =
+        Array.mapi
+          (fun i evs ->
+            if Array.length evs > Array.length emitted.(i) then
+              QCheck.Test.fail_reportf "pid %d fed %d of %d updates" i
+                (Array.length evs)
+                (Array.length emitted.(i));
+            Array.sub emitted.(i) 0 (Array.length evs))
+          stamps
+      in
       let holds =
         Modal.holds_of_expr ~init:[] ~updates:writes
           (Sharded.stream_predicate stream_cfg)
@@ -530,6 +539,18 @@ let test_stream_matches_packed =
           (match Modal.possibly stamps ~holds with
           | Some true -> "T" | Some false -> "F" | None -> "?");
       ok)
+
+(* A lossless run can still strand an update: at seed 9400, pid 1's last
+   update is sensed 52 ms before the horizon and the delay reaches
+   60 ms, so it is still in flight when the run ends. *)
+let test_stream_unfed_at_horizon () =
+  let exec = Exec.single ~seed:9400L () in
+  let r, det = Sharded.stream ~cfg:stream_cfg exec in
+  Alcotest.(check int) "one update never fed" 1 r.Sharded.sr_unfed;
+  Alcotest.(check int) "accessor agrees" 1 (Streaming_detector.unfed det);
+  Alcotest.(check int) "fed + unfed = emitted" r.Sharded.sr_updates
+    (r.Sharded.sr_observed + r.Sharded.sr_unfed);
+  Alcotest.(check int) "nothing dropped" 0 r.Sharded.sr_dropped
 
 (* Online analysis (sink tap) must be byte-identical to post-hoc
    analysis of the retained trace — now including the streaming-lattice
@@ -578,13 +599,148 @@ let test_stream_arena_reuse () =
     r
   in
   let fresh = run () in
-  let arena = Detector_arena.create () in
+  let arena = Arena.create () in
   let first = run ~arena () in
   let second = run ~arena () in
   Alcotest.(check bool) "arena run = fresh run" true (compare fresh first = 0);
   Alcotest.(check bool) "arena reuse run = fresh run" true
     (compare fresh second = 0);
-  Alcotest.(check int) "clock array built once" 1 (Detector_arena.builds arena)
+  Alcotest.(check int) "clock array built once" 1 (Arena.builds arena)
+
+(* {2 Uplink contract}
+
+   The sensor -> checker leg both Exec checkers share: at most four
+   variable names per source (the name index rides in the seq lane),
+   range-checked sources, and a round trip that gives every update back
+   with its name and sequence number.  One source cycles through four
+   names, one update a second; the written value keeps
+   a + b + c + d at 1 when [seq mod 3 = 0] and at 0 otherwise, so the
+   rises fall on seqs 3, 6, 9, 12, 15 — every name at least once. *)
+
+let uplink_names = [| "a"; "b"; "c"; "d" |]
+let uplink_updates = 16
+
+let uplink_predicate =
+  Expr.(
+    sum (Array.to_list (Array.map (fun name -> var ~name ~loc:0) uplink_names))
+    >? int 0)
+
+(* Schedules the cycle on [exec] through [emit]; returns the expected
+   (var, seq, value) list. *)
+let uplink_schedule exec emit =
+  let vals = Array.make 4 0 in
+  List.init uplink_updates (fun seq ->
+      let i = seq mod 4 in
+      let others = Array.fold_left ( + ) 0 vals - vals.(i) in
+      vals.(i) <- (if seq mod 3 = 0 then 1 else 0) - others;
+      let value = vals.(i) in
+      Engine.schedule_at_unit
+        (Exec.engine exec ~group:0)
+        (Sim_time.of_sec (seq + 1))
+        (fun () -> emit ~src:0 ~var:uplink_names.(i) ~value);
+      (uplink_names.(i), seq, value))
+
+let check_uplink_round_trip ~what expected updates =
+  Alcotest.(check (list (triple string int int)))
+    (what ^ ": every update back, in order") expected
+    (List.map
+       (fun (u : Psn_detection.Observation.update) ->
+         ( u.var,
+           (if u.src = 0 then u.seq else -1),
+           match u.value with Value.Int v -> v | _ -> min_int ))
+       updates)
+
+let check_uplink_trigger ~what (u : Psn_detection.Observation.update) =
+  Alcotest.(check string)
+    (Printf.sprintf "%s: trigger seq %d name" what u.seq)
+    uplink_names.(u.seq mod 4) u.var
+
+let check_uplink_raises ~what emit =
+  let raises f =
+    match f () with () -> false | exception Invalid_argument _ -> true
+  in
+  Alcotest.(check bool) (what ^ ": fifth name raises") true
+    (raises (fun () -> emit ~src:0 ~var:"e" ~value:0));
+  Alcotest.(check bool) (what ^ ": src = n raises") true
+    (raises (fun () -> emit ~src:1 ~var:"a" ~value:0));
+  Alcotest.(check bool) (what ^ ": negative src raises") true
+    (raises (fun () -> emit ~src:(-1) ~var:"a" ~value:0))
+
+let test_uplink_sharded () =
+  List.iter
+    (fun (what, checker) ->
+      let exec = Exec.single ~seed:3L () in
+      let cfg =
+        {
+          Sharded_detector.n = 1;
+          groups = 1;
+          group_of = (fun _ -> 0);
+          eps = ms 10;
+          hold = ms 600;
+          flush_period = ms 50;
+          causal_stamps = false;
+        }
+      in
+      let det =
+        Sharded_detector.create ~checker exec ~cfg ~delay:delay_small
+          ~predicate:uplink_predicate ()
+      in
+      let expected = uplink_schedule exec (Sharded_detector.emit det) in
+      Exec.run exec ~until:(Sim_time.of_sec (uplink_updates + 2));
+      check_uplink_round_trip ~what expected (Sharded_detector.updates det);
+      let occs = Sharded_detector.occurrences det in
+      Alcotest.(check (list int)) (what ^ ": rises on seqs 3, 6, .., 15")
+        [ 3; 6; 9; 12; 15 ]
+        (List.map
+           (fun (o : Psn_detection.Occurrence.t) -> o.trigger.seq)
+           occs);
+      List.iter
+        (fun (o : Psn_detection.Occurrence.t) ->
+          check_uplink_trigger ~what o.trigger)
+        occs;
+      check_uplink_raises ~what (Sharded_detector.emit det))
+    [
+      ("Interp", Sharded_detector.Interp);
+      ("Compiled", Sharded_detector.Compiled);
+      ("Partitioned", Sharded_detector.Partitioned);
+    ]
+
+let test_uplink_streaming () =
+  let what = "streaming" in
+  let exec = Exec.single ~seed:3L () in
+  let cfg =
+    {
+      Streaming_detector.n = 1;
+      groups = 1;
+      group_of = (fun _ -> 0);
+      eps = ms 10;
+      hold = ms 600;
+      flush_period = ms 50;
+      cap = 1_000;
+    }
+  in
+  let det =
+    Streaming_detector.create exec ~cfg ~delay:delay_small
+      ~predicate:uplink_predicate ()
+  in
+  let expected = uplink_schedule exec (Streaming_detector.emit det) in
+  Exec.run exec ~until:(Sim_time.of_sec (uplink_updates + 2));
+  Streaming_detector.finish det;
+  check_uplink_round_trip ~what expected (Streaming_detector.updates det);
+  Alcotest.(check int) (what ^ ": all fed") uplink_updates
+    (Streaming_detector.observed det);
+  Alcotest.(check int) (what ^ ": none unfed") 0 (Streaming_detector.unfed det);
+  (* One process: the lattice is a chain, so Possibly and Definitely
+     both hold at the first rise. *)
+  let triggers =
+    List.filter_map
+      (fun (e : Streaming_detector.edge) -> e.trigger)
+      (Streaming_detector.edges det)
+  in
+  Alcotest.(check (list int)) (what ^ ": decided at seq 3") [ 3; 3 ]
+    (List.map (fun (u : Psn_detection.Observation.update) -> u.seq) triggers);
+  List.iter (check_uplink_trigger ~what) triggers;
+  check_uplink_raises ~what (Streaming_detector.emit det)
 
 let () =
   Alcotest.run "psn_sharded"
@@ -626,5 +782,14 @@ let () =
           Alcotest.test_case "online tap == post-hoc bytes" `Quick
             test_stream_tap_equals_retained;
           Alcotest.test_case "arena reuse" `Quick test_stream_arena_reuse;
+          Alcotest.test_case "unfed at the horizon" `Quick
+            test_stream_unfed_at_horizon;
+        ] );
+      ( "uplink",
+        [
+          Alcotest.test_case "sharded detector contract" `Quick
+            test_uplink_sharded;
+          Alcotest.test_case "streaming detector contract" `Quick
+            test_uplink_streaming;
         ] );
     ]
