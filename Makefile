@@ -15,11 +15,11 @@ bench:
 	dune exec bench/main.exe
 
 # Microbenchmarks only (no experiment tables), written as JSON
-# (schema psn-bench/1, see DESIGN.md). BENCH_PR10.json in the repo root
-# is a committed snapshot of this output (BENCH_PR2..PR9.json are
+# (schema psn-bench/1, see DESIGN.md). BENCH_PR15.json in the repo root
+# is a committed snapshot of this output (BENCH_PR2..PR10.json are
 # prior snapshots, kept for before/after comparison).
 bench-json:
-	dune exec bench/main.exe -- --json BENCH_PR10.json
+	dune exec bench/main.exe -- --json BENCH_PR15.json
 
 # Regression diff against the committed baseline.  Thresholds are
 # deliberately wide: committed numbers come from a different machine, so
@@ -33,7 +33,7 @@ bench-json:
 bench-compare:
 	dune exec bench/main.exe -- \
 	  --only "engine.schedule+run,vector.receive,analyze.posthoc,analyze.online,hall.run.sharded(4),shardstats.overhead,predicate.eval,detector.flush,detector.stream.flush,lattice.stream" \
-	  --compare BENCH_PR10.json \
+	  --compare BENCH_PR15.json \
 	  --threshold analyze=200,receive_into=60,peak_live_cuts=1,100
 
 # Full (slow) experiment profiles — the numbers in EXPERIMENTS.md.

@@ -69,12 +69,14 @@ let detector_for ?init (config : Config.t) engine ~spec =
   | (Clock_kind.Strobe_vector | Clock_kind.Logical_vector), Modality.Definitely
     ->
       require_complete_overlay "the interval-queue detectors";
-      D.Definitely_detector.create ~loss ?init ~once engine ~n ~delay
-        ~horizon:config.horizon ~predicate
+      D.Interval_detector.create ~loss ?init ~once engine
+        ~mode:D.Interval_detector.Definitely ~n ~delay ~horizon:config.horizon
+        ~predicate
   | (Clock_kind.Strobe_vector | Clock_kind.Logical_vector), Modality.Possibly ->
       require_complete_overlay "the interval-queue detectors";
-      D.Possibly_detector.create ~loss ?init ~once engine ~n ~delay
-        ~horizon:config.horizon ~predicate
+      D.Interval_detector.create ~loss ?init ~once engine
+        ~mode:D.Interval_detector.Possibly ~n ~delay ~horizon:config.horizon
+        ~predicate
   | Clock_kind.Hybrid_logical { max_offset; max_drift_ppm },
     Modality.Instantaneous ->
       D.Hlc_detector.create ~loss ?topology ?init ~once engine ~n ~delay ~hold

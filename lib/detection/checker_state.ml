@@ -1,60 +1,67 @@
-(* The checker's evolving view of the global state.
+(* The one incremental predicate state (callers: see the .mli).  φ is
+   compiled once; variables it never reads have no slot and are ignored,
+   since binding them cannot change φ.  [apply] returns the previous
+   value so race analyses can ask "would φ still hold had that
+   concurrent update not been applied?" — the consensus test behind the
+   borderline bin. *)
 
-   Applies updates one at a time, reporting the predicate transition each
-   causes.  Keeps the previous value of every applied update so race
-   analyses can ask "would φ still hold had that concurrent update not
-   been applied?" — the consensus test behind the borderline bin. *)
-
-module Expr = Psn_predicates.Expr
-module Value = Psn_world.Value
+module Compiled = Psn_predicates.Compiled
 
 type transition = Rose | Fell | Same
 
 type t = {
-  predicate : Expr.t;
-  env : (Expr.var, Value.t) Hashtbl.t;
-  env_fn : Expr.var -> Value.t option; (* hoisted: one lookup closure per checker *)
+  prog : Compiled.t;
+  env : Compiled.env;
   mutable holds : bool;
 }
 
-let eval_safe predicate env_fn =
-  match Expr.eval_bool ~env:env_fn predicate with
-  | b -> b
-  | exception Expr.Unbound_variable _ -> false
-
 let create ?(init = []) predicate =
-  let env = Hashtbl.create 16 in
-  List.iter (fun (v, value) -> Hashtbl.replace env v value) init;
-  let t = { predicate; env; env_fn = Hashtbl.find_opt env; holds = false } in
-  t.holds <- eval_safe predicate t.env_fn;
-  t
+  let prog = Compiled.compile predicate in
+  let env = Compiled.create_env prog in
+  List.iter
+    (fun (v, value) ->
+      let s = Compiled.slot prog v in
+      if s >= 0 then Compiled.set env s value)
+    init;
+  { prog; env; holds = Compiled.holds prog env }
 
 let holds t = t.holds
+let slot t v = Compiled.slot t.prog v
 
-let value_of t v = Hashtbl.find_opt t.env v
-
-(* Apply an update; returns the transition and the variable's previous
-   value (for later race reverts). *)
-let apply t (u : Observation.update) =
-  let var = Observation.located u in
-  let prev = Hashtbl.find_opt t.env var in
-  Hashtbl.replace t.env var u.value;
-  let now_holds = eval_safe t.predicate t.env_fn in
-  let transition =
-    match (t.holds, now_holds) with
-    | false, true -> Rose
-    | true, false -> Fell
-    | _ -> Same
-  in
+let step t =
+  let now_holds = Compiled.holds t.prog t.env in
+  let was = t.holds in
   t.holds <- now_holds;
-  (transition, prev)
+  if now_holds = was then Same else if now_holds then Rose else Fell
 
-(* Evaluate φ with one variable temporarily overridden ([None] = unbound).
-   The committed state is untouched. *)
+let bind t slot value =
+  Compiled.set t.env slot value;
+  step t
+
+let bind_int t slot x =
+  Compiled.set_int t.env slot x;
+  step t
+
+let apply t (u : Observation.update) =
+  let s = slot t (Observation.located u) in
+  if s < 0 then (Same, None)
+  else
+    let prev = Compiled.get t.env s in
+    (bind t s u.value, prev)
+
+let set_opt t s = function
+  | Some v -> Compiled.set t.env s v
+  | None -> Compiled.clear t.env s
+
+(* Evaluate φ with one variable temporarily overridden ([None] = unbound);
+   the slot is restored even when φ raises. *)
 let eval_with_override t ~var ~value =
-  let env v =
-    if v = var then value else Hashtbl.find_opt t.env v
-  in
-  eval_safe t.predicate env
-
-let snapshot t = Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.env []
+  let s = slot t var in
+  if s < 0 then Compiled.holds t.prog t.env
+  else begin
+    let saved = Compiled.get t.env s in
+    set_opt t s value;
+    Fun.protect
+      ~finally:(fun () -> set_opt t s saved)
+      (fun () -> Compiled.holds t.prog t.env)
+  end

@@ -8,7 +8,6 @@
    detectors are scored against these. *)
 
 module Sim_time = Psn_sim.Sim_time
-module Expr = Psn_predicates.Expr
 
 type interval = {
   t_start : Sim_time.t;
@@ -22,40 +21,28 @@ let compare_updates (a : Observation.update) (b : Observation.update) =
     let c = Stdlib.compare a.src b.src in
     if c <> 0 then c else Stdlib.compare a.seq b.seq
 
-(* Evaluate φ treating unbound variables as "predicate not established". *)
-let eval_safe predicate env =
-  match Expr.eval_bool ~env predicate with
-  | b -> b
-  | exception Expr.Unbound_variable _ -> false
-
-let intervals ?(init = []) ~updates ~predicate ~horizon () =
-  let tbl : (Expr.var, Psn_world.Value.t) Hashtbl.t = Hashtbl.create 16 in
-  List.iter (fun (v, value) -> Hashtbl.replace tbl v value) init;
-  let env v = Hashtbl.find_opt tbl v in
+(* Replay through the checkers' own incremental state ([Checker_state]),
+   compiled per call: experiments run on several domains, and a compiled
+   program's scratch stacks serve one evaluation at a time. *)
+let intervals ?init ~updates ~predicate ~horizon () =
+  let st = Checker_state.create ?init predicate in
   let sorted = List.sort compare_updates updates in
   let acc = ref [] in
-  let open_since = ref None in
-  let holds = ref (eval_safe predicate env) in
-  if !holds then open_since := Some Sim_time.zero;
+  let open_since = ref Sim_time.zero in
   List.iter
     (fun (u : Observation.update) ->
       if Sim_time.( <= ) u.sense_time horizon then begin
-        Hashtbl.replace tbl (Observation.located u) u.value;
-        let now_holds = eval_safe predicate env in
-        (match (!holds, now_holds) with
-        | false, true -> open_since := Some u.sense_time
-        | true, false ->
-            (match !open_since with
-            | Some t_start -> acc := { t_start; t_end = u.sense_time } :: !acc
-            | None -> ());
-            open_since := None
-        | _ -> ());
-        holds := now_holds
+        let s = Checker_state.slot st (Observation.located u) in
+        if s >= 0 then
+          match Checker_state.bind st s u.value with
+          | Checker_state.Rose -> open_since := u.sense_time
+          | Checker_state.Fell ->
+              acc := { t_start = !open_since; t_end = u.sense_time } :: !acc
+          | Checker_state.Same -> ()
       end)
     sorted;
-  (match !open_since with
-  | Some t_start -> acc := { t_start; t_end = horizon } :: !acc
-  | None -> ());
+  if Checker_state.holds st then
+    acc := { t_start = !open_since; t_end = horizon } :: !acc;
   List.rev !acc
 
 let total_true_time ivs =

@@ -2,6 +2,12 @@
     conjunctive predicates over strobe vector clocks (Garg–Waldecker
     queues, repeated detection). *)
 
+(** [Definitely]: every consistent observation sees all conjuncts true
+    at once — never asserts an overlap the causal order does not
+    guarantee (precision 1 by construction), at the cost of missing
+    races (E4, E7).  [Possibly]: some consistent observation does — the
+    weakest modality; recall dominates [Definitely], but it may assert
+    overlaps no real-time instant exhibited. *)
 type mode = Definitely | Possibly
 
 val create :

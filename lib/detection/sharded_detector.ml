@@ -9,7 +9,7 @@
    Cross-domain discipline, beyond [Uplink]'s:
 
      - vector clocks, stamp planes, and sub-checker state (pending
-       arena, compiled residual env, group verdict) are written only by
+       arena, residual [Checker_state]) are written only by
        events of that group, which the substrate runs on one shard (one
        domain at a time);
      - the verdict tree, edge queues, and occurrence list are written
@@ -62,7 +62,6 @@ module Sim_time = Psn_sim.Sim_time
 module Trace = Psn_obs.Trace
 module Metrics = Psn_obs.Metrics
 module Expr = Psn_predicates.Expr
-module Compiled = Psn_predicates.Compiled
 module Value = Psn_world.Value
 module Vector_clock = Psn_clocks.Vector_clock
 module Stamp_plane = Psn_clocks.Stamp_plane
@@ -129,14 +128,13 @@ let pop_edge eq =
   end;
   v
 
-(* Group sub-checker: compiled residual of the group's conjuncts plus a
-   local hold-back arena mirroring the checker's.  Group-local. *)
+(* Group sub-checker: the residual of the group's conjuncts as a
+   [Checker_state] (its [holds] is the group verdict) plus a local
+   hold-back arena mirroring the checker's.  Group-local. *)
 type sub = {
-  sub_prog : Compiled.t;
-  sub_env : Compiled.env;
+  sub_state : Checker_state.t;
   sub_slots : int array; (* (src, var_idx) -> slot; -2 unknown *)
   sub_pend : Pending_arena.t;
-  mutable sub_holds : bool;
 }
 
 type impl =
@@ -145,8 +143,7 @@ type impl =
       env_fn : Expr.var -> Value.t option; (* hoisted: one closure, ever *)
     }
   | Compiled_impl of {
-      prog : Compiled.t;
-      cenv : Compiled.env;
+      state : Checker_state.t;
       slots : int array; (* (src, var_idx) -> slot; -2 unknown *)
     }
   | Partitioned_impl of {
@@ -170,27 +167,17 @@ type t = {
   c_occurrences : Metrics.counter;
 }
 
-let eval_safe predicate env =
-  match Expr.eval_bool ~env predicate with
-  | b -> b
-  | exception Expr.Unbound_variable _ -> false
-
-let eval_safe_compiled prog cenv =
-  match Compiled.eval_bool prog cenv with
-  | b -> b
-  | exception Expr.Unbound_variable _ -> false
-
-(* Lazily memoized (src, var_idx) -> compiled slot.  The name table is
-   written at the source's first emit; both the sub-checker (same
-   shard) and the checker (after a barrier) read it only for updates
-   that were emitted, so the entry is always populated. *)
-let memo_slot slots up prog ~src ~var_idx =
+(* Lazily memoized (src, var_idx) -> [Checker_state] slot.  The name
+   table is written at the source's first emit; both the sub-checker
+   (same shard) and the checker (after a barrier) read it only for
+   updates that were emitted, so the entry is always populated. *)
+let memo_slot slots up state ~src ~var_idx =
   let key = (src * Uplink.max_vars) + var_idx in
   let s = slots.(key) in
   if s <> -2 then s
   else begin
     let s =
-      Compiled.slot prog
+      Checker_state.slot state
         { Expr.name = Uplink.var_name up ~src ~var_idx; loc = src }
     in
     slots.(key) <- s;
@@ -263,11 +250,9 @@ let create ?loss ?sinks ?(checker = Auto) ?arena exec ~cfg ~delay ~predicate () 
         let env = Hashtbl.create 64 in
         Interp_impl { env; env_fn = Hashtbl.find_opt env }
     | `Compiled ->
-        let prog = Compiled.compile predicate in
         Compiled_impl
           {
-            prog;
-            cenv = Compiled.create_env prog;
+            state = Checker_state.create predicate;
             slots = Array.make (n * Uplink.max_vars) (-2);
           }
     | `Partitioned ->
@@ -287,20 +272,18 @@ let create ?loss ?sinks ?(checker = Auto) ?arena exec ~cfg ~delay ~predicate () 
               match residual with
               | None -> None
               | Some r ->
-                  let prog = Compiled.compile r in
                   Some
                     {
-                      sub_prog = prog;
-                      sub_env = Compiled.create_env prog;
+                      sub_state = Checker_state.create r;
                       sub_slots = Array.make (n * Uplink.max_vars) (-2);
                       sub_pend = Pending_arena.create ();
-                      sub_holds = eval_safe r (fun _ -> None);
                     })
             residuals
         in
         let init_leaves =
           Array.map
-            (fun s -> match s with Some s -> s.sub_holds | None -> true)
+            (function
+              | Some s -> Checker_state.holds s.sub_state | None -> true)
             subs
         in
         let tree = Verdict_tree.create ~leaves:cfg.groups init_leaves in
@@ -374,27 +357,27 @@ let create ?loss ?sinks ?(checker = Auto) ?arena exec ~cfg ~delay ~predicate () 
               Uplink.flush_every (Exec.engine exec ~group:g) sub.sub_pend
                 ~start ~period:cfg.flush_period ~lag:1 (fun ~now m ->
                   let now_ns = Sim_time.to_ns now in
+                  let st = sub.sub_state in
                   for i = 0 to m - 1 do
                     let src = Pending_arena.src sub.sub_pend i in
                     let var_idx = Pending_arena.var_idx sub.sub_pend i in
-                    let slot =
-                      memo_slot sub.sub_slots up sub.sub_prog ~src ~var_idx
-                    in
+                    let slot = memo_slot sub.sub_slots up st ~src ~var_idx in
                     if slot >= 0 then begin
-                      Compiled.set_int sub.sub_env slot
-                        (Pending_arena.value sub.sub_pend i);
-                      let v = eval_safe_compiled sub.sub_prog sub.sub_env in
-                      if v <> sub.sub_holds then begin
-                        sub.sub_holds <- v;
-                        Metrics.tick p.c_edges.(g);
-                        Shard_net.post_raw net ~src_group:g ~dst_group:0
-                          ~at:(Sim_time.of_ns (now_ns + hold_ns - 2))
-                          ~dst:(edge_addr cfg g)
-                          ~w0:(Pending_arena.stamp sub.sub_pend i)
-                          ~w1:src
-                          ~w2:(Pending_arena.seq sub.sub_pend i)
-                          ~w3:(if v then 1 else 0) ~w4:0
-                      end
+                      match
+                        Checker_state.bind_int st slot
+                          (Pending_arena.value sub.sub_pend i)
+                      with
+                      | Checker_state.Same -> ()
+                      | Checker_state.Rose | Checker_state.Fell ->
+                          Metrics.tick p.c_edges.(g);
+                          Shard_net.post_raw net ~src_group:g ~dst_group:0
+                            ~at:(Sim_time.of_ns (now_ns + hold_ns - 2))
+                            ~dst:(edge_addr cfg g)
+                            ~w0:(Pending_arena.stamp sub.sub_pend i)
+                            ~w1:src
+                            ~w2:(Pending_arena.seq sub.sub_pend i)
+                            ~w3:(if Checker_state.holds st then 1 else 0)
+                            ~w4:0
                     end
                   done))
         p.subs
@@ -416,11 +399,11 @@ let create ?loss ?sinks ?(checker = Auto) ?arena exec ~cfg ~delay ~predicate () 
             Hashtbl.replace env
               { Expr.name = Uplink.var_name up ~src ~var_idx; loc = src }
               (Value.Int value);
-            eval_safe t.predicate env_fn
-        | Compiled_impl { prog; cenv; slots } ->
-            let slot = memo_slot slots up prog ~src ~var_idx in
-            if slot >= 0 then Compiled.set_int cenv slot value;
-            eval_safe_compiled prog cenv
+            Expr.holds ~env:env_fn t.predicate
+        | Compiled_impl { state; slots } ->
+            let slot = memo_slot slots up state ~src ~var_idx in
+            if slot >= 0 then ignore (Checker_state.bind_int state slot value);
+            Checker_state.holds state
         | Partitioned_impl { tree; edges; _ } ->
             let g = cfg.group_of src in
             let eq = edges.(g) in

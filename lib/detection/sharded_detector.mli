@@ -23,18 +23,19 @@ type t
 (** Checker backend — same verdicts, same occurrences, same trace bytes
     on any choice; only the evaluation cost model differs.
 
-    - [Interp]: Hashtbl env + {!Psn_predicates.Expr.eval_bool} per
-      applied update.  The differential oracle.
-    - [Compiled]: one {!Psn_predicates.Compiled} program over int slots,
-      re-evaluated per applied update.  Works for any predicate.
+    - [Interp]: Hashtbl env + {!Psn_predicates.Expr.holds} per applied
+      update, on the interpreter.  The differential oracle.
+    - [Compiled]: one {!Checker_state} (the predicate compiled once over
+      int slots), re-evaluated per applied update through
+      {!Checker_state.bind_int}.  Works for any predicate.
     - [Partitioned]: conjunctive predicates only ({!Psn_predicates.Expr.conjuncts}).
-      Each group's shard runs a sub-checker over the compiled residual of
-      its conjuncts and publishes only rising/falling edges of the group
-      verdict through the substrate's mailbox rings; the checker folds
-      edges through an AND-combining tree, making an applied update
-      O(group residual + log groups) instead of O(predicate).  Requires
-      every conjunct's location in [0 .. n-1] and
-      [hold >= Delay_model.min_delay delay + 2ns] (the edge protocol
+      Each group's shard runs a sub-checker, a {!Checker_state} over the
+      residual of its conjuncts, and publishes only rising/falling edges
+      of the group verdict through the substrate's mailbox rings; the
+      checker folds edges through an AND-combining tree, making an
+      applied update O(group residual + log groups) instead of
+      O(predicate).  Requires every conjunct's location in [0 .. n-1]
+      and [hold >= Delay_model.min_delay delay + 2ns] (the edge protocol
       posts [hold - 2] ahead, which must cover the engine lookahead; the
       bound is written in configuration terms so the oracle and every
       shard count admit the same predicates).  [create] raises

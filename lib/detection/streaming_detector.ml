@@ -265,9 +265,7 @@ let create ?loss ?sinks ?arena ?on_observe exec ~cfg ~delay ~predicate () =
   in
   let holds cut =
     cur_cut := cut;
-    match Expr.eval_bool ~env:env_fn predicate with
-    | b -> b
-    | exception Expr.Unbound_variable _ -> false
+    Expr.holds ~env:env_fn predicate
   in
   let on_edge e =
     Metrics.tick c_edges;

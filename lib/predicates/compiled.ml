@@ -312,3 +312,8 @@ let eval_bool t env =
   let i = run t env in
   if t.s_tag.(i) <> 2 then not_bool ();
   t.s_num.(i) <> 0.0
+
+let holds t env =
+  match eval_bool t env with
+  | b -> b
+  | exception Expr.Unbound_variable _ -> false

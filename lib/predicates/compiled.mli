@@ -51,3 +51,7 @@ val eval : t -> env -> Psn_world.Value.t
     exception-for-exception. *)
 
 val eval_bool : t -> env -> bool
+
+val holds : t -> env -> bool
+(** {!Expr.holds} over a slot environment: {!eval_bool} with an unbound
+    slot read as false; [Value.Type_error] still propagates. *)

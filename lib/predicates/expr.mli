@@ -40,6 +40,10 @@ val eval : env:(var -> Psn_world.Value.t option) -> t -> Psn_world.Value.t
 
 val eval_bool : env:(var -> Psn_world.Value.t option) -> t -> bool
 
+val holds : env:(var -> Psn_world.Value.t option) -> t -> bool
+(** {!eval_bool} with the detectors' rule that an unbound variable makes
+    the predicate false; [Value.Type_error] still propagates. *)
+
 val vars : t -> var list
 val locations : t -> int list
 val sole_location : t -> int option

@@ -252,6 +252,168 @@ let test_checker_state_override () =
   (* Committed state untouched. *)
   Alcotest.(check bool) "still holds" true (Checker_state.holds st)
 
+(* --- Compiled state vs the naive twins ---
+
+   [Checker_state] and [Ground_truth.intervals] run on the compiled
+   evaluator; [Psn_oracles] holds their naive Hashtbl/interpreter twins.
+   Random scripts over three processes: x and y are int-valued, p
+   bool-valued, z is never read by a generated predicate; sense times
+   sit on a coarse 0..20 ms grid, so ties (ordered by src, then seq) are
+   common, and some land past the horizon.  One value in 40 has the
+   other type, so [Value.Type_error] must surface at the same step, with
+   the same message, on both sides. *)
+
+module Naive_checker_state = Psn_oracles.Naive_checker_state
+module Naive_ground_truth = Psn_oracles.Naive_ground_truth
+
+let gen_typed_value name =
+  QCheck.Gen.(
+    let int_v = map (fun i -> Value.Int i) (int_range 0 4)
+    and bool_v = map (fun b -> Value.Bool b) bool in
+    let typed, other = if name = "p" then (bool_v, int_v) else (int_v, bool_v) in
+    frequency [ (39, typed); (1, other) ])
+
+let gen_binding =
+  QCheck.Gen.(
+    int_range 0 2 >>= fun loc ->
+    oneofl [ "x"; "y"; "p"; "z" ] >>= fun name ->
+    gen_typed_value name >|= fun value -> ({ Expr.name; loc }, value))
+
+(* Conjunctive (local atoms under AND), relational (Σ (x_l - y_l) vs a
+   constant), or a cross-location mix under NOT/OR. *)
+let gen_state_predicate =
+  QCheck.Gen.(
+    let var name = map (fun loc -> Expr.var ~name ~loc) (int_range 0 2) in
+    let local_atom =
+      int_range 0 2 >>= fun loc ->
+      oneof
+        [
+          map2
+            (fun op k -> Expr.Cmp (op, Expr.var ~name:"x" ~loc, Expr.int k))
+            (oneofl [ Expr.Eq; Ne; Lt; Le; Gt; Ge ])
+            (int_range 0 4);
+          map (fun b -> Expr.(var ~name:"p" ~loc ==? bool b)) bool;
+        ]
+    in
+    let conjunctive =
+      int_range 1 4 >>= fun k ->
+      list_repeat k local_atom >|= fun parts ->
+      List.fold_left Expr.( &&& ) (List.hd parts) (List.tl parts)
+    in
+    let relational =
+      map2
+        (fun op k ->
+          Expr.Cmp
+            ( op,
+              Expr.sum
+                (List.map
+                   (fun loc ->
+                     Expr.(var ~name:"x" ~loc -? var ~name:"y" ~loc))
+                   [ 0; 1; 2 ]),
+              Expr.int k ))
+        (oneofl [ Expr.Lt; Ge; Eq ])
+        (int_range (-3) 3)
+    in
+    let mixed =
+      map3 (fun a x y -> Expr.(not_ a ||| (x <? y))) local_atom (var "x")
+        (var "y")
+    in
+    oneof [ conjunctive; relational; mixed ])
+
+(* Each step: an update (src, name, value, sense ms) and an override
+   probe (variable, optional value) for [eval_with_override]. *)
+let gen_state_script =
+  QCheck.Gen.(
+    let step =
+      int_range 0 2 >>= fun src ->
+      oneofl [ "x"; "y"; "p"; "z" ] >>= fun var ->
+      gen_typed_value var >>= fun value ->
+      int_range 0 20 >>= fun t ->
+      gen_binding >>= fun (ovar, ovalue) ->
+      bool >|= fun unbind ->
+      ((src, var, value, t), (ovar, if unbind then None else Some ovalue))
+    in
+    quad gen_state_predicate
+      (list_size (int_range 0 12) gen_binding)
+      (list_size (int_range 0 40) step)
+      (int_range 0 22))
+
+let updates_of_steps steps =
+  let seqs = Array.make 3 0 in
+  List.map
+    (fun ((src, var, value, t), _) ->
+      let seq = seqs.(src) in
+      seqs.(src) <- seq + 1;
+      update ~src ~var ~value ~seq ~t)
+    steps
+
+let arb_state_script =
+  QCheck.make
+    ~print:(fun (pred, init, steps, horizon) ->
+      Printf.sprintf "%s\ninit [%s]\nupdates [%s]\nhorizon %d ms"
+        (Expr.to_string pred)
+        (String.concat "; "
+           (List.map
+              (fun ((v : Expr.var), value) ->
+                Printf.sprintf "%s_%d=%s" v.name v.loc (Value.to_string value))
+              init))
+        (String.concat "; "
+           (List.map (Fmt.str "%a" Observation.pp) (updates_of_steps steps)))
+        horizon)
+    gen_state_script
+
+let attempt f =
+  match f () with v -> Ok v | exception Value.Type_error m -> Error m
+
+let prop_ground_truth_matches_naive (predicate, init, steps, horizon) =
+  let updates = updates_of_steps steps and horizon = ms horizon in
+  attempt (fun () ->
+      Ground_truth.intervals ~init ~updates ~predicate ~horizon ())
+  = attempt (fun () ->
+        Naive_ground_truth.intervals ~init ~updates ~predicate ~horizon ())
+
+let prop_checker_state_matches_naive (predicate, init, steps, _) =
+  let reads = Expr.vars predicate in
+  let rec go fast naive = function
+    | [] -> true
+    | (u, (var, value)) :: rest -> (
+        attempt (fun () -> Checker_state.eval_with_override fast ~var ~value)
+        = attempt (fun () ->
+              Naive_checker_state.eval_with_override naive ~var ~value)
+        &&
+        match
+          ( attempt (fun () -> Checker_state.apply fast u),
+            attempt (fun () -> Naive_checker_state.apply naive u) )
+        with
+        | Ok (tr, prev), Ok (tr', prev') ->
+            tr = tr'
+            && Checker_state.holds fast = Naive_checker_state.holds naive
+            && ((not (List.mem (Observation.located u) reads)) || prev = prev')
+            && go fast naive rest
+        | Error m, Error m' -> String.equal m m'
+        | _ -> false)
+  in
+  match
+    ( attempt (fun () -> Checker_state.create ~init predicate),
+      attempt (fun () -> Naive_checker_state.create ~init predicate) )
+  with
+  | Ok fast, Ok naive ->
+      Checker_state.holds fast = Naive_checker_state.holds naive
+      && go fast naive
+           (List.combine (updates_of_steps steps) (List.map snd steps))
+  | Error m, Error m' -> String.equal m m'
+  | _ -> false
+
+let test_ground_truth_matches_naive =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:1000 ~name:"intervals = naive replay"
+       arb_state_script prop_ground_truth_matches_naive)
+
+let test_checker_state_matches_naive =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:1000 ~name:"apply/override/prev = naive twin"
+       arb_state_script prop_checker_state_matches_naive)
+
 (* --- Detector harness helpers --- *)
 
 (* Script: (time_ms, src, var, value) emissions; runs detector to quiescence
@@ -495,11 +657,14 @@ let test_arena_matches_copy () =
 
 (* --- Definitely detector --- *)
 
+let definitely = D.Interval_detector.create ~mode:D.Interval_detector.Definitely
+let possibly = D.Interval_detector.create ~mode:D.Interval_detector.Possibly
+
 let test_definitely_basic () =
   let detector =
     run_script
       ~make:(fun engine ->
-        D.Definitely_detector.create ~init:init_ab engine ~n:2 ~delay:small_delay
+        definitely ~init:init_ab engine ~n:2 ~delay:small_delay
           ~horizon:(ms 1000) ~predicate:conj_ab)
       ~script:ab_script ~horizon_ms:1100
   in
@@ -519,7 +684,7 @@ let test_definitely_no_overlap () =
   let detector =
     run_script
       ~make:(fun engine ->
-        D.Definitely_detector.create ~init:init_ab engine ~n:2 ~delay:small_delay
+        definitely ~init:init_ab engine ~n:2 ~delay:small_delay
           ~horizon:(ms 1000) ~predicate:conj_ab)
       ~script ~horizon_ms:1100
   in
@@ -542,7 +707,7 @@ let test_definitely_repeats_within_long_interval () =
   let detector =
     run_script
       ~make:(fun engine ->
-        D.Definitely_detector.create ~init:init_ab engine ~n:2 ~delay:small_delay
+        definitely ~init:init_ab engine ~n:2 ~delay:small_delay
           ~horizon:(ms 1000) ~predicate:conj_ab)
       ~script ~horizon_ms:1100
   in
@@ -558,7 +723,7 @@ let test_definitely_open_interval_closed_at_horizon () =
   let detector =
     run_script
       ~make:(fun engine ->
-        D.Definitely_detector.create ~init:init_ab engine ~n:2 ~delay:small_delay
+        definitely ~init:init_ab engine ~n:2 ~delay:small_delay
           ~horizon:(ms 500) ~predicate:conj_ab)
       ~script ~horizon_ms:600
   in
@@ -571,7 +736,7 @@ let test_definitely_rejects_relational () =
   Alcotest.(check bool) "raises" true
     (try
        ignore
-         (D.Definitely_detector.create engine ~n:2 ~delay:small_delay
+         (definitely engine ~n:2 ~delay:small_delay
             ~horizon:(ms 100) ~predicate:relational);
        false
      with Invalid_argument _ -> true)
@@ -580,7 +745,7 @@ let test_definitely_once () =
   let detector =
     run_script
       ~make:(fun engine ->
-        D.Definitely_detector.create ~once:true ~init:init_ab engine ~n:2
+        definitely ~once:true ~init:init_ab engine ~n:2
           ~delay:small_delay ~horizon:(ms 1000) ~predicate:conj_ab)
       ~script:ab_script ~horizon_ms:1100
   in
@@ -629,7 +794,7 @@ let test_possibly_basic () =
   let detector =
     run_script
       ~make:(fun engine ->
-        D.Possibly_detector.create ~init:init_ab engine ~n:2 ~delay:small_delay
+        possibly ~init:init_ab engine ~n:2 ~delay:small_delay
           ~horizon:(ms 1000) ~predicate:conj_ab)
       ~script:ab_script ~horizon_ms:1100
   in
@@ -655,12 +820,12 @@ let test_possibly_superset_of_definitely () =
   let run_mode make = run_script ~make ~script ~horizon_ms:6000 in
   let poss =
     run_mode (fun engine ->
-        D.Possibly_detector.create ~init:init_ab engine ~n:2 ~delay:big_delay
+        possibly ~init:init_ab engine ~n:2 ~delay:big_delay
           ~horizon:(ms 5800) ~predicate:conj_ab)
   in
   let defi =
     run_mode (fun engine ->
-        D.Definitely_detector.create ~init:init_ab engine ~n:2 ~delay:big_delay
+        definitely ~init:init_ab engine ~n:2 ~delay:big_delay
           ~horizon:(ms 5800) ~predicate:conj_ab)
   in
   let np = List.length (Detector.occurrences poss) in
@@ -680,7 +845,7 @@ let test_possibly_none_when_disjoint () =
   let detector =
     run_script
       ~make:(fun engine ->
-        D.Possibly_detector.create ~init:init_ab engine ~n:2 ~delay:small_delay
+        possibly ~init:init_ab engine ~n:2 ~delay:small_delay
           ~horizon:(ms 6000) ~predicate:conj_ab)
       ~script ~horizon_ms:6100
   in
@@ -780,7 +945,7 @@ let test_definitely_soundness =
            Psn_sim.Delay_model.bounded_uniform ~min:(ms 1) ~max:(ms 300)
          in
          let detector =
-           D.Definitely_detector.create ~init:init_ab engine ~n:2 ~delay
+           definitely ~init:init_ab engine ~n:2 ~delay
              ~horizon:(ms (horizon_ms - 100)) ~predicate:conj_ab
          in
          List.iter
@@ -818,6 +983,7 @@ let () =
           Alcotest.test_case "multiple" `Quick test_ground_truth_multiple_occurrences;
           Alcotest.test_case "horizon cutoff" `Quick
             test_ground_truth_ignores_after_horizon;
+          test_ground_truth_matches_naive;
         ] );
       ( "metrics",
         [
@@ -834,6 +1000,7 @@ let () =
         [
           Alcotest.test_case "transitions" `Quick test_checker_state_transitions;
           Alcotest.test_case "override" `Quick test_checker_state_override;
+          test_checker_state_matches_naive;
         ] );
       ( "linearizing detectors",
         [
