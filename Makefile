@@ -30,8 +30,10 @@ bench-json:
 # quietly fall behind the copy path again (the PR7 regression fix).
 # peak_live_cuts rows are deterministic counts, not timings, so they
 # are pinned near-exactly: any slab growth fails the comparison.
+# --compare runs at the quota a snapshot's "meta" records; BENCH_PR15.json
+# predates "meta", so its recording quota (2 s) is set here.
 bench-compare:
-	dune exec bench/main.exe -- \
+	PSN_BENCH_QUOTA=2 dune exec bench/main.exe -- \
 	  --only "engine.schedule+run,vector.receive,analyze.posthoc,analyze.online,hall.run.sharded(4),shardstats.overhead,predicate.eval,detector.flush,detector.stream.flush,lattice.stream" \
 	  --compare BENCH_PR15.json \
 	  --threshold analyze=200,receive_into=60,peak_live_cuts=1,100

@@ -173,6 +173,61 @@ let predicate_eval_compiled =
   Test.make ~name:"predicate.eval.compiled(8 doors)" (Staged.stage @@ fun () ->
       ignore (Psn_predicates.Compiled.eval_bool prog env))
 
+(* --- Delta-evaluation subjects ------------------------------------------- *)
+
+(* The hall's ground truth at n = 10⁴ doors: Σ(x_i − y_i) > capacity from
+   all-zero initial values, and 10⁴ door updates at random.
+   [Checker_state.create] (compile φ, bind the 2n initial values) must
+   grow linearly in n; each replay update is one delta bind on the DAG,
+   where a full [Compiled] re-run costs 4n instructions.  The inputs are
+   allocated only while these subjects run: kept live for the whole
+   process, they slow the GC-sensitive subjects measured before them
+   (vector.receive read ~1.8x). *)
+let oracle_doors = 10_000
+
+let hall_oracle () =
+  let cfg =
+    { Psn_scenarios.Sharded.hall_default with doors = oracle_doors; capacity = 50 }
+  in
+  (Psn_scenarios.Sharded.hall_predicate cfg, Psn_scenarios.Sharded.hall_init cfg)
+
+let checker_state_create =
+  Test.make_with_resource ~name:"checker_state.create(n=10000)" Test.uniq
+    ~allocate:hall_oracle ~free:ignore
+    (Staged.stage @@ fun (predicate, init) ->
+      ignore
+        (Sys.opaque_identity (Psn_detection.Checker_state.create ~init predicate)))
+
+let replay_updates () =
+  let rng = Random.State.make [| 16 |] in
+  let counts = Array.make (2 * oracle_doors) 0
+  and seqs = Array.make oracle_doors 0 in
+  List.init 10_000 (fun i ->
+      let door = Random.State.int rng oracle_doors
+      and side = Random.State.int rng 2 in
+      let k = (2 * door) + side in
+      counts.(k) <- counts.(k) + 1;
+      seqs.(door) <- seqs.(door) + 1;
+      {
+        Psn_detection.Observation.src = door;
+        var = (if side = 0 then "x" else "y");
+        value = Psn_world.Value.Int counts.(k);
+        seq = seqs.(door);
+        sense_time = Sim_time.of_ms i;
+      })
+
+let ground_truth_replay =
+  let horizon = Sim_time.of_ms 10_000 in
+  Test.make_with_resource ~name:"ground_truth.replay(doors=10000,updates=10000)"
+    Test.uniq
+    ~allocate:(fun () -> (hall_oracle (), replay_updates ()))
+    ~free:ignore
+    (Staged.stage @@ fun ((predicate, init), updates) ->
+      ignore
+        (Sys.opaque_identity
+           (Psn_detection.Ground_truth.intervals ~init ~updates ~predicate
+              ~horizon ())))
+
 (* Independent (no communication) stamps: the worst case where every one
    of the (k+1)^n cuts is consistent. *)
 let independent_stamps ~n ~k =
@@ -636,20 +691,24 @@ let subjects =
         lattice_stream_10k; lattice_stream_100k;
       ] );
     ("obs", [ analyze_posthoc; analyze_online; shardstats_overhead ]);
+    ("detection", [ checker_state_create; ground_truth_replay ]);
   ]
 
 (* Per-subject sampling budget, seconds.  The default keeps the full
    sweep fast; committed snapshots are recorded with a larger quota
-   (PSN_BENCH_QUOTA=2) so the OLS fit averages over scheduler noise. *)
-let quota =
+   (PSN_BENCH_QUOTA=2) so the OLS fit averages over scheduler noise, and
+   --compare adopts the quota its snapshot records. *)
+let env_quota =
   match Option.bind (Sys.getenv_opt "PSN_BENCH_QUOTA") float_of_string_opt with
-  | Some q when q > 0.0 -> q
-  | _ -> 0.25
+  | Some q when q > 0.0 -> Some q
+  | _ -> None
+
+let quota = ref (Option.value env_quota ~default:0.25)
 
 let benchmark test =
   let instances = Instance.[ monotonic_clock ] in
   let cfg =
-    Benchmark.cfg ~limit:1000 ~stabilize:true ~quota:(Time.second quota) ()
+    Benchmark.cfg ~limit:1000 ~stabilize:true ~quota:(Time.second !quota) ()
   in
   Benchmark.all cfg instances test
 
@@ -765,12 +824,46 @@ let print_rows rows =
   Psn_util.Table.print ~headers:[ "operation"; "ns/op" ] ~rows ();
   print_newline ()
 
-(* Schema "psn-bench/1" (documented in DESIGN.md): one object mapping
-   "group/subject" to its OLS ns/op estimate (null when the fit failed). *)
+(* The conditions a snapshot was recorded under (its "meta" object):
+   timings compare only with timings taken at the same quota and domain
+   count, and the toolchain and commit say where they came from. *)
+type meta = {
+  m_quota : float;
+  m_nproc : int;
+  m_ocaml : string;
+  m_git_rev : string option;
+  m_domains : string option; (* PSN_DOMAINS, when it was set *)
+}
+
+let git_rev () =
+  match Unix.open_process_in "git rev-parse --short HEAD 2>/dev/null" with
+  | ic ->
+      let rev = try Some (input_line ic) with End_of_file -> None in
+      ignore (Unix.close_process_in ic);
+      rev
+  | exception Unix.Unix_error _ -> None
+
+let current_meta () =
+  {
+    m_quota = !quota;
+    m_nproc = Domain.recommended_domain_count ();
+    m_ocaml = Sys.ocaml_version;
+    m_git_rev = git_rev ();
+    m_domains = Sys.getenv_opt "PSN_DOMAINS";
+  }
+
+(* Schema "psn-bench/1" (documented in DESIGN.md): the recording
+   conditions under "meta", and one object mapping "group/subject" to
+   its OLS ns/op estimate (null when the fit failed). *)
 let write_json path rows =
+  let m = current_meta () in
+  let str = function Some v -> Printf.sprintf "%S" v | None -> "null" in
   let oc = open_out path in
   output_string oc "{\n";
   output_string oc "  \"schema\": \"psn-bench/1\",\n";
+  Printf.fprintf oc
+    "  \"meta\": { \"quota\": %.17g, \"nproc\": %d, \"ocaml\": %S, \"git_rev\": %s, \"psn_domains\": %s },\n"
+    m.m_quota m.m_nproc m.m_ocaml (str m.m_git_rev) (str m.m_domains);
   output_string oc "  \"unit\": \"ns/op\",\n";
   output_string oc "  \"subjects\": {\n";
   let n = List.length rows in
@@ -785,8 +878,31 @@ let write_json path rows =
 
 (* --- regression diffing (--compare) ------------------------------------- *)
 
-(* Load a psn-bench/1 snapshot (the format [write_json] emits) as
-   [(subject, ns/op)]; null estimates are skipped. *)
+(* A snapshot's "meta" object; [None] for snapshots older than it. *)
+let meta_of doc =
+  let open Psn_obs.Json in
+  let field name = Option.bind (member "meta" doc) (member name) in
+  let str name = match field name with Some (Str v) -> Some v | _ -> None in
+  let quota =
+    match field "quota" with
+    | Some (Int q) -> Some (float_of_int q)
+    | Some (Float q) -> Some q
+    | _ -> None
+  in
+  match (quota, field "nproc", str "ocaml") with
+  | Some q, Some (Int n), Some ocaml ->
+      Some
+        {
+          m_quota = q;
+          m_nproc = n;
+          m_ocaml = ocaml;
+          m_git_rev = str "git_rev";
+          m_domains = str "psn_domains";
+        }
+  | _ -> None
+
+(* Load a psn-bench/1 snapshot (the format [write_json] emits) as its
+   meta and [(subject, ns/op)]; null estimates are skipped. *)
 let load_baseline path =
   let contents =
     let ic = open_in_bin path in
@@ -804,13 +920,14 @@ let load_baseline path =
       match member "subjects" doc with
       | Some (Obj fields) ->
           Ok
-            (List.filter_map
-               (fun (name, v) ->
-                 match v with
-                 | Int i -> Some (name, float_of_int i)
-                 | Float f -> Some (name, f)
-                 | _ -> None)
-               fields)
+            ( meta_of doc,
+              List.filter_map
+                (fun (name, v) ->
+                  match v with
+                  | Int i -> Some (name, float_of_int i)
+                  | Float f -> Some (name, f)
+                  | _ -> None)
+                fields )
       | _ -> Error (Printf.sprintf "%s: no \"subjects\" object" path))
 
 (* Regression thresholds: one default percentage plus per-subject
@@ -945,6 +1062,35 @@ let compare_against ~thresholds:th baseline rows =
               entries)));
   !regressed <> []
 
+(* Run under the snapshot's recording conditions: adopt its quota and
+   PSN_DOMAINS, and refuse when the environment explicitly asks for
+   different ones, since the comparison would then measure the change
+   of conditions.  Host differences cannot be adopted; they are noted. *)
+let adopt_meta path m =
+  let refuse var recorded asked =
+    Printf.eprintf
+      "bench: %s was recorded at %s=%s; refusing to compare at %s=%s\n" path
+      var recorded var asked;
+    exit 2
+  in
+  (match env_quota with
+  | Some q when q <> m.m_quota ->
+      refuse "PSN_BENCH_QUOTA" (Printf.sprintf "%g" m.m_quota)
+        (Printf.sprintf "%g" q)
+  | _ -> quota := m.m_quota);
+  (match (Sys.getenv_opt "PSN_DOMAINS", m.m_domains) with
+  | Some asked, recorded when Some asked <> recorded ->
+      refuse "PSN_DOMAINS" (Option.value recorded ~default:"(unset)") asked
+  | None, Some recorded -> Unix.putenv "PSN_DOMAINS" recorded
+  | _ -> ());
+  let nproc = Domain.recommended_domain_count () in
+  if nproc <> m.m_nproc || Sys.ocaml_version <> m.m_ocaml then
+    Printf.printf "note: %s was recorded with nproc=%d, OCaml %s; this run \
+                   has nproc=%d, OCaml %s\n"
+      path m.m_nproc m.m_ocaml nproc Sys.ocaml_version;
+  Printf.printf "comparing against %s (rev %s) at quota %gs\n" path
+    (Option.value m.m_git_rev ~default:"unknown") !quota
+
 let () =
   let json = ref None and only = ref None in
   let compare_to = ref None in
@@ -980,6 +1126,18 @@ let () =
         exit 2
   in
   parse (List.tl (Array.to_list Sys.argv));
+  let baseline =
+    Option.map
+      (fun path ->
+        match load_baseline path with
+        | Error msg ->
+            Printf.eprintf "bench: %s\n" msg;
+            exit 2
+        | Ok (meta, subjects) ->
+            Option.iter (adopt_meta path) meta;
+            subjects)
+      !compare_to
+  in
   let rows =
     List.sort compare
       (run_microbenches ?only:!only () @ stream_evidence_rows ?only:!only ())
@@ -987,14 +1145,9 @@ let () =
   print_rows rows;
   (match !json with Some path -> write_json path rows | None -> ());
   let regression =
-    match !compare_to with
+    match baseline with
     | None -> false
-    | Some path -> (
-        match load_baseline path with
-        | Error msg ->
-            Printf.eprintf "bench: %s\n" msg;
-            exit 2
-        | Ok baseline -> compare_against ~thresholds:!thresholds baseline rows)
+    | Some baseline -> compare_against ~thresholds:!thresholds baseline rows
   in
   (* The claim-table part of the default run; skipped in micro-only
      invocations (--only / --json / --compare) so `make bench-json` stays

@@ -18,4 +18,3 @@ val intervals :
     safe. *)
 
 val total_true_time : interval list -> Psn_sim.Sim_time.t
-val pp_interval : Format.formatter -> interval -> unit

@@ -40,15 +40,31 @@
 
 module Value = Psn_world.Value
 
+(* Variable -> slot.  Locations are process ids, dense from 0, so each
+   name keeps an array indexed by location (-1 = no slot): interning n
+   variables then costs one name lookup each and walks those arrays in
+   order, where a table of n [Expr.var] records outgrows the cache.  A
+   location far past the slots seen so far goes to [sparse] instead,
+   which bounds the arrays by the slot count. *)
+type index = {
+  names : (string, int array ref) Hashtbl.t;
+  sparse : (Expr.var, int) Hashtbl.t;
+}
+
+let find_in idx locs (v : Expr.var) =
+  if v.loc >= 0 && v.loc < Array.length locs && locs.(v.loc) >= 0 then
+    locs.(v.loc)
+  else if Hashtbl.length idx.sparse = 0 then -1
+  else match Hashtbl.find_opt idx.sparse v with Some s -> s | None -> -1
+
 type t = {
-  source : Expr.t;
   code : int array;
   c_tag : int array;
   c_int : int array;
   c_num : float array;
   c_str : string array;
   vars : Expr.var array; (* slot -> variable, first-use order *)
-  slots : (Expr.var, int) Hashtbl.t;
+  slots : index;
   s_tag : int array;
   s_int : int array;
   s_num : float array;
@@ -68,18 +84,43 @@ let cmp_index = function
 
 let arith_index = function Expr.Add -> 0 | Expr.Sub -> 1 | Expr.Mul -> 2
 
+(* Right operands still to emit, innermost first, with their opcodes. *)
+type pending = Done | Then of int * Expr.t * pending
+
 let compile source =
-  let slot_tbl = Hashtbl.create 8 in
-  let vars_rev = ref [] and nvars = ref 0 in
-  let slot_of v =
-    match Hashtbl.find_opt slot_tbl v with
-    | Some s -> s
-    | None ->
+  let idx = { names = Hashtbl.create 4; sparse = Hashtbl.create 1 } in
+  let vars = ref [||] and nvars = ref 0 in
+  let slot_of (v : Expr.var) =
+    let locs =
+      match Hashtbl.find idx.names v.name with
+      | locs -> locs
+      | exception Not_found ->
+          let locs = ref [||] in
+          Hashtbl.add idx.names v.name locs;
+          locs
+    in
+    match find_in idx !locs v with
+    | -1 ->
         let s = !nvars in
         incr nvars;
-        Hashtbl.add slot_tbl v s;
-        vars_rev := v :: !vars_rev;
+        if s = Array.length !vars then begin
+          let grown = Array.make (max 8 (2 * s)) v in
+          Array.blit !vars 0 grown 0 s;
+          vars := grown
+        end;
+        !vars.(s) <- v;
+        let len = Array.length !locs in
+        if v.loc >= 0 && v.loc < (2 * s) + 64 then begin
+          if v.loc >= len then begin
+            let grown = Array.make (max (v.loc + 1) (2 * len)) (-1) in
+            Array.blit !locs 0 grown 0 len;
+            locs := grown
+          end;
+          !locs.(v.loc) <- s
+        end
+        else Hashtbl.replace idx.sparse v s;
         s
+    | s -> s
   in
   let consts_rev = ref [] and nconsts = ref 0 in
   let const_of v =
@@ -103,6 +144,10 @@ let compile source =
     incr cur;
     if !cur > !depth then depth := !cur
   in
+  (* [Expr.sum] and folded conjunctions are left-deep trees as deep as
+     the predicate is wide, so [spine] walks a left spine in a loop,
+     stacking each right operand with its opcode, and [rest] emits them
+     innermost first; recursion only enters the right operands. *)
   let rec go = function
     | Expr.Const v ->
         emit (0 lor (const_of v lsl 4));
@@ -113,33 +158,35 @@ let compile source =
     | Expr.Not e ->
         go e;
         emit 2
-    | Expr.And (a, b) ->
-        go a;
-        let jp = !len in
-        emit 3;
-        decr cur; (* fall-through pops the guard; the taken branch keeps
-                     it as the result, which never deepens the stack *)
-        go b;
-        emit 5;
-        !code.(jp) <- 3 lor (!len lsl 4)
-    | Expr.Or (a, b) ->
-        go a;
-        let jp = !len in
-        emit 4;
-        decr cur;
-        go b;
-        emit 5;
-        !code.(jp) <- 4 lor (!len lsl 4)
-    | Expr.Cmp (op, a, b) ->
-        go a;
-        go b;
-        emit (6 + cmp_index op);
-        decr cur
-    | Expr.Arith (op, a, b) ->
-        go a;
-        go b;
-        emit (12 + arith_index op);
-        decr cur
+    | e -> spine e Done
+  and spine e pending =
+    match e with
+    | Expr.And (a, b) -> spine a (Then (3, b, pending))
+    | Expr.Or (a, b) -> spine a (Then (4, b, pending))
+    | Expr.Cmp (op, a, b) -> spine a (Then (6 + cmp_index op, b, pending))
+    | Expr.Arith (op, a, b) -> spine a (Then (12 + arith_index op, b, pending))
+    | e ->
+        go e;
+        rest pending
+  and rest = function
+    | Done -> ()
+    | Then (op, b, pending) ->
+        if op = 3 || op = 4 then begin
+          (* [a; jfalse/jtrue L; b; tobool; L:] *)
+          let jp = !len in
+          emit op;
+          decr cur; (* fall-through pops the guard; the taken branch keeps
+                       it as the result, which never deepens the stack *)
+          go b;
+          emit 5;
+          !code.(jp) <- op lor (!len lsl 4)
+        end
+        else begin
+          go b;
+          emit op;
+          decr cur
+        end;
+        rest pending
   in
   go source;
   let nc = !nconsts in
@@ -159,24 +206,24 @@ let compile source =
     !consts_rev;
   let d = max 1 !depth in
   {
-    source;
     code = Array.sub !code 0 !len;
     c_tag;
     c_int;
     c_num;
     c_str;
-    vars = Array.of_list (List.rev !vars_rev);
-    slots = slot_tbl;
+    vars = Array.sub !vars 0 !nvars;
+    slots = idx;
     s_tag = Array.make d 0;
     s_int = Array.make d 0;
     s_num = Array.make d 0.0;
     s_str = Array.make d "";
   }
 
-let source t = t.source
 let nvars t = Array.length t.vars
-let vars t = Array.copy t.vars
-let slot t v = match Hashtbl.find_opt t.slots v with Some s -> s | None -> -1
+let slot t (v : Expr.var) =
+  match Hashtbl.find t.slots.names v.name with
+  | locs -> find_in t.slots !locs v
+  | exception Not_found -> find_in t.slots [||] v
 
 let create_env t =
   let n = max 1 (Array.length t.vars) in
@@ -209,6 +256,8 @@ let set_int env slot x =
   env.e_tag.(slot) <- 0
 
 let clear env slot = env.e_tag.(slot) <- -1
+let is_int env slot = env.e_tag.(slot) = 0
+let get_int env slot = env.e_int.(slot)
 
 let get env slot =
   match env.e_tag.(slot) with

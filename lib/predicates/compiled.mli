@@ -15,15 +15,11 @@
 type t
 
 val compile : Expr.t -> t
-
-val source : t -> Expr.t
+(** Linear in the size of the expression. *)
 
 val nvars : t -> int
 (** Number of distinct located variables; slots are [0 .. nvars - 1] in
     {!Expr.vars} first-use order. *)
-
-val vars : t -> Expr.var array
-(** Slot index to variable. *)
 
 val slot : t -> Expr.var -> int
 (** Variable to slot index, [-1] when the program never reads it. *)
@@ -42,6 +38,11 @@ val set_int : env -> int -> int -> unit
 
 val clear : env -> int -> unit
 val get : env -> int -> Psn_world.Value.t option
+
+val is_int : env -> int -> bool
+val get_int : env -> int -> int
+(** [is_int env s]: the slot is bound to an [Int]; [get_int] reads it
+    unboxed (unspecified when [is_int] is false). *)
 
 (** {2 Evaluation} *)
 

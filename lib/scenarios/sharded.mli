@@ -47,6 +47,10 @@ type hall_cfg = {
 val hall_default : hall_cfg
 val hall_predicate : hall_cfg -> Psn_predicates.Expr.t
 
+val hall_init :
+  hall_cfg -> (Psn_predicates.Expr.var * Psn_world.Value.t) list
+(** Every door's [x] and [y] at 0: the values the oracle starts from. *)
+
 val hall :
   ?cfg:hall_cfg -> ?sinks:Psn_obs.Trace.sink array -> Psn_sim.Exec.t ->
   Psn.Report.t

@@ -414,6 +414,300 @@ let test_checker_state_matches_naive =
     (QCheck.Test.make ~count:1000 ~name:"apply/override/prev = naive twin"
        arb_state_script prop_checker_state_matches_naive)
 
+(* --- Delta evaluation vs the naive twin ---
+
+   [Checker_state] answers from a DAG of cached values while every slot
+   holds a small Int, and from a full [Compiled] run otherwise.  These
+   scripts cross that boundary both ways mid-stream: Σ chains over
+   shared and repeated variables (with Int, Float and [Mul] terms),
+   magnitudes on both sides of the 2⁵³ exactness bound, Float, Bool and
+   String values, binds through [apply], [bind] and [bind_int], and
+   overrides that unbind ([None]) or rebind a slot.  Every step must
+   match the interpreter: transition, [holds], previous value, override
+   answer, and [Type_error] message. *)
+
+let delta_names = [ "x"; "y"; "p"; "z" ]
+
+(* Around (2⁵³ − 1) / m for the term counts m a generated Σ can have,
+   plus the extremes. *)
+let gen_wide_int =
+  QCheck.Gen.(
+    int_range 1 8 >>= fun m ->
+    int_range (-2) 2 >>= fun d ->
+    bool >>= fun neg ->
+    oneof
+      [
+        return ((((1 lsl 53) - 1) / m) + d);
+        oneofl [ max_int; min_int; 1 lsl 53; (1 lsl 53) + 1; 1 lsl 62 ];
+      ]
+    >|= fun x -> if neg then -x else x)
+
+let gen_delta_value name =
+  QCheck.Gen.(
+    let small = map (fun i -> Value.Int i) (int_range (-4) 4) in
+    let wide = map (fun i -> Value.Int i) gen_wide_int in
+    let odd =
+      oneof
+        [
+          map (fun b -> Value.Bool b) bool;
+          oneofl [ Value.Float 0.5; Value.Float 2.0; Value.String "s" ];
+        ]
+    in
+    if name = "p" then
+      frequency [ (30, map (fun b -> Value.Bool b) bool); (2, small); (1, odd) ]
+    else frequency [ (30, small); (4, wide); (2, odd) ])
+
+let gen_delta_predicate =
+  QCheck.Gen.(
+    let var name = map (fun loc -> Expr.var ~name ~loc) (int_range 0 2) in
+    let term =
+      frequency
+        [
+          (30, oneofl [ "x"; "y" ] >>= var);
+          (6, map Expr.int (int_range (-3) 3));
+          (1, map Expr.int gen_wide_int);
+          (1, return (Expr.float 1.5));
+          (1, map2 Expr.( *? ) (var "x") (map Expr.int (int_range 1 3)));
+        ]
+    in
+    let sigma =
+      int_range 1 6 >>= fun k ->
+      list_repeat k (pair bool term) >>= fun terms ->
+      bool >|= fun nest ->
+      let op add = if add then Expr.( +? ) else Expr.( -? ) in
+      match terms with
+      | [] -> Expr.int 0
+      | (_, t0) :: rest ->
+          if nest then
+            (* right-nested: t0 ± (t1 ± (t2 ...)) *)
+            let rec go t = function
+              | [] -> t
+              | (add, t') :: rest -> op add t (go t' rest)
+            in
+            go t0 rest
+          else List.fold_left (fun acc (add, t) -> op add acc t) t0 rest
+    in
+    let cmp = oneofl [ Expr.Eq; Ne; Lt; Le; Gt; Ge ] in
+    let atom =
+      frequency
+        [
+          (12, map3 (fun op s k -> Expr.Cmp (op, s, Expr.int k)) cmp sigma
+                 (int_range (-4) 4));
+          (4, map3 (fun op a b -> Expr.Cmp (op, a, b)) cmp sigma sigma);
+          (4, map3 (fun op a b -> Expr.Cmp (op, a, b)) cmp (var "x") (var "y"));
+          (2, map (fun v -> Expr.(v <? float 0.5)) (var "x"));
+          (2, map Expr.bool bool);
+          (1, map2 (fun v b -> Expr.(v ==? bool b)) (var "p") bool);
+          (1, map (fun v -> Expr.Cmp (Expr.Eq, v, Expr.Const (Value.String "s")))
+                (var "x"));
+          (1, var "p");
+        ]
+    in
+    let rec formula depth =
+      if depth = 0 then atom
+      else
+        frequency
+          [
+            (3, atom);
+            (2, map2 Expr.( &&& ) (formula (depth - 1)) (formula (depth - 1)));
+            (2, map2 Expr.( ||| ) (formula (depth - 1)) (formula (depth - 1)));
+            (1, map Expr.not_ (formula (depth - 1)));
+          ]
+    in
+    int_range 0 3 >>= formula)
+
+(* Half the scripts start with every variable bound to a small value, so
+   the fast path is live from the first bind. *)
+let gen_delta_init =
+  QCheck.Gen.(
+    let full =
+      List.concat_map
+        (fun loc ->
+          [
+            ({ Expr.name = "x"; loc }, Value.Int loc);
+            ({ Expr.name = "y"; loc }, Value.Int (-loc));
+            ({ Expr.name = "p"; loc }, Value.Bool (loc = 1));
+          ])
+        [ 0; 1; 2 ]
+    in
+    let binding =
+      int_range 0 2 >>= fun loc ->
+      oneofl delta_names >>= fun name ->
+      gen_delta_value name >|= fun value -> ({ Expr.name; loc }, value)
+    in
+    bool >>= fun all ->
+    list_size (int_range 0 8) binding >|= fun extra ->
+    if all then full @ extra else extra)
+
+(* A step: an update (src, name, value), how to bind it (0 apply,
+   1 bind, 2 bind_int when Int), and an override probe. *)
+let gen_delta_script =
+  QCheck.Gen.(
+    let step =
+      int_range 0 2 >>= fun src ->
+      oneofl delta_names >>= fun var ->
+      gen_delta_value var >>= fun value ->
+      int_range 0 2 >>= fun how ->
+      int_range 0 2 >>= fun oloc ->
+      oneofl delta_names >>= fun oname ->
+      gen_delta_value oname >>= fun ovalue ->
+      frequency [ (1, return true); (3, return false) ] >|= fun unbind ->
+      ( (src, var, value, how),
+        ({ Expr.name = oname; loc = oloc }, if unbind then None else Some ovalue) )
+    in
+    triple gen_delta_predicate gen_delta_init (list_size (int_range 0 40) step))
+
+let arb_delta_script =
+  QCheck.make
+    ~print:(fun (pred, init, steps) ->
+      let binding (v : Expr.var) value =
+        Printf.sprintf "%s_%d=%s" v.name v.loc
+          (match value with Some x -> Value.to_string x | None -> "unbound")
+      in
+      Printf.sprintf "%s\ninit [%s]\nsteps [%s]" (Expr.to_string pred)
+        (String.concat "; "
+           (List.map (fun (v, value) -> binding v (Some value)) init))
+        (String.concat "; "
+           (List.map
+              (fun ((src, var, value, how), (ov, ovalue)) ->
+                Printf.sprintf "%s via %d, override %s"
+                  (binding { Expr.name = var; loc = src } (Some value))
+                  how (binding ov ovalue))
+              steps)))
+    gen_delta_script
+
+let delta_fast = ref 0
+let delta_fallback = ref 0
+
+let prop_delta_matches_naive (predicate, init, steps) =
+  let reads = Expr.vars predicate in
+  let seqs = Array.make 3 0 in
+  let step fast naive ((src, var, value, how), (ovar, ovalue)) =
+    let u =
+      let seq = seqs.(src) in
+      seqs.(src) <- seq + 1;
+      update ~src ~var ~value ~seq ~t:0
+    in
+    let answer =
+      attempt (fun () ->
+          Checker_state.eval_with_override fast ~var:ovar ~value:ovalue)
+      = attempt (fun () ->
+            Naive_checker_state.eval_with_override naive ~var:ovar
+              ~value:ovalue)
+    in
+    let s = Checker_state.slot fast (Observation.located u) in
+    let before = Checker_state.fallbacks fast in
+    let fast_r =
+      attempt (fun () ->
+          match (how, value) with
+          | 1, _ when s >= 0 -> Checker_state.bind fast s value
+          | 2, Value.Int x when s >= 0 -> Checker_state.bind_int fast s x
+          | _ -> fst (Checker_state.apply fast u))
+    in
+    if s >= 0 then
+      incr (if Checker_state.fallbacks fast = before then delta_fast
+            else delta_fallback);
+    answer
+    &&
+    (* a variable φ never reads is ignored, even in a mistyped state *)
+    if s < 0 then fast_r = Ok Checker_state.Same
+    else
+      match (fast_r, attempt (fun () -> Naive_checker_state.apply naive u)) with
+      | Ok tr, Ok (tr', _) ->
+          tr = tr' && Checker_state.holds fast = Naive_checker_state.holds naive
+      | Error m, Error m' -> String.equal m m'
+      | _ -> false
+  in
+  (* [apply]'s previous value, checked on a second pair of states fed
+     through [apply] only. *)
+  let prevs_agree fast naive =
+    List.for_all
+      (fun ((src, var, value, _), _) ->
+        let u = update ~src ~var ~value ~seq:0 ~t:0 in
+        if not (List.mem (Observation.located u) reads) then
+          Checker_state.apply fast u = (Checker_state.Same, None)
+        else
+          match
+            ( attempt (fun () -> Checker_state.apply fast u),
+              attempt (fun () -> Naive_checker_state.apply naive u) )
+          with
+          | Ok (tr, prev), Ok (tr', prev') -> tr = tr' && prev = prev'
+          | Error m, Error m' -> String.equal m m'
+          | _ -> false)
+      steps
+  in
+  let pair () =
+    ( attempt (fun () -> Checker_state.create ~init predicate),
+      attempt (fun () -> Naive_checker_state.create ~init predicate) )
+  in
+  match (pair (), pair ()) with
+  | (Ok fast, Ok naive), (Ok fast2, Ok naive2) ->
+      Checker_state.holds fast = Naive_checker_state.holds naive
+      && List.for_all (step fast naive) steps
+      && prevs_agree fast2 naive2
+  | (Error m, Error m'), _ -> String.equal m m'
+  | _ -> false
+
+(* The property, plus proof that its scripts really cross between the
+   fast path and the fallback. *)
+let test_delta_matches_naive =
+  let name, speed, run =
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~count:1000
+         ~name:"delta binds/overrides = naive twin" arb_delta_script
+         prop_delta_matches_naive)
+  in
+  ( name,
+    speed,
+    fun () ->
+      delta_fast := 0;
+      delta_fallback := 0;
+      run ();
+      Alcotest.(check bool) "some binds took the fast path" true (!delta_fast > 0);
+      Alcotest.(check bool) "some binds fell back" true (!delta_fallback > 0) )
+
+(* The exhibition hall's Σ(x_i − y_i) > capacity from its initial
+   values: a random walk of door counts, every bind on the DAG. *)
+let test_hall_replay_fast_path () =
+  let cfg =
+    { Psn_scenarios.Sharded.hall_default with doors = 200; capacity = 12 }
+  in
+  let predicate = Psn_scenarios.Sharded.hall_predicate cfg
+  and init = Psn_scenarios.Sharded.hall_init cfg in
+  let fast = Checker_state.create ~init predicate
+  and naive = Naive_checker_state.create ~init predicate in
+  let rng = Random.State.make [| 16 |] in
+  let xs = Array.make cfg.doors 0 and ys = Array.make cfg.doors 0 in
+  let rises = ref 0 and falls = ref 0 and inside = ref 0 in
+  for i = 0 to 19_999 do
+    let door = Random.State.int rng cfg.doors in
+    (* entries and exits balance at [capacity] visitors inside *)
+    let enter = Random.State.int rng 40 >= !inside + 8 in
+    inside := !inside + if enter then 1 else -1;
+    let var, counts = if enter then ("x", xs) else ("y", ys) in
+    counts.(door) <- counts.(door) + 1;
+    let u =
+      update ~src:door ~var ~value:(Value.Int counts.(door)) ~seq:i ~t:i
+    in
+    let tr =
+      if i mod 2 = 0 then fst (Checker_state.apply fast u)
+      else
+        Checker_state.bind_int fast
+          (Checker_state.slot fast (Observation.located u))
+          counts.(door)
+    in
+    let tr', _ = Naive_checker_state.apply naive u in
+    if tr <> tr' then Alcotest.failf "update %d: transition differs" i;
+    (match tr with
+    | Checker_state.Rose -> incr rises
+    | Checker_state.Fell -> incr falls
+    | Checker_state.Same -> ())
+  done;
+  Alcotest.(check bool) "rose" true (!rises > 0);
+  Alcotest.(check bool) "fell" true (!falls > 0);
+  Alcotest.(check int) "every bind on the fast path" 0
+    (Checker_state.fallbacks fast)
+
 (* --- Detector harness helpers --- *)
 
 (* Script: (time_ms, src, var, value) emissions; runs detector to quiescence
@@ -1001,6 +1295,9 @@ let () =
           Alcotest.test_case "transitions" `Quick test_checker_state_transitions;
           Alcotest.test_case "override" `Quick test_checker_state_override;
           test_checker_state_matches_naive;
+          test_delta_matches_naive;
+          Alcotest.test_case "hall replay: every bind on the DAG" `Quick
+            test_hall_replay_fast_path;
         ] );
       ( "linearizing detectors",
         [
